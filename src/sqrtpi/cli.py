@@ -2,7 +2,7 @@
 
 Subcommands: parse, typecheck, eval, equiv, simplify, compile, check-rules.
 Exit codes: 0 success (or "equivalent"), 1 not equivalent / rules failed,
-2 parse or type errors (diagnostics on stderr).
+2 parse or type errors, or input too deeply nested (diagnostics on stderr).
 
 Files ending in ``.circ`` are read as circuit files and compiled; anything
 else is parsed as a term in the surface syntax.  Set SQRTPI_RULE_CATALOG to
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .circuits import compile_circuit, parse_circuit
 from .lang import Combinator, SqrtPiError, parse, parse_type_pair, pretty, type_str, typecheck
@@ -116,8 +115,7 @@ def _cmd_check_rules(args) -> int:
         if not rules:
             print(f"no rules in family {args.family!r}", file=sys.stderr)
             return 2
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(rules)))) as pool:
-        reports = list(pool.map(validate_rule, rules))
+    reports = [validate_rule(r) for r in rules]
     width = max(len(r.name) for r in rules)
     passed = 0
     for rule, report in zip(rules, reports):
@@ -203,11 +201,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SqrtPiError as e:
+    except (SqrtPiError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
 
 

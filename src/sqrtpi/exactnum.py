@@ -89,9 +89,6 @@ class Dyadic:
             return _D_ZERO
         return Dyadic(self.num * other.num, self.k + other.k)
 
-    def is_integer(self) -> bool:
-        return self.k == 0
-
     def to_float(self) -> float:
         return self.num / (1 << self.k)
 
@@ -134,9 +131,6 @@ class DyadicCyclotomic:
 
     def __bool__(self) -> bool:
         return any(self.c)
-
-    def is_zero(self) -> bool:
-        return not any(self.c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -199,9 +193,6 @@ class DyadicCyclotomic:
         """Complex conjugation, w -> w^7 = -w^3."""
         c = self.c
         return DyadicCyclotomic(c[0], -c[3], -c[2], -c[1])
-
-    def is_real(self) -> bool:
-        return self == self.conjugate()
 
     def to_complex(self) -> complex:
         """Float approximation, for display only."""

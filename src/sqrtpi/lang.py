@@ -18,6 +18,7 @@ Concrete grammar (ASCII)::
     tatom ::= "0" | "1" | "2" | "(" type ")"
 
 ``;`` binds loosest, then ``+``, then ``*``.  ``2`` is sugar for ``1+1``.
+``(a ; b) ; c`` and ``a ; (b ; c)`` parse to the same flat chain.
 ``?name`` is a rewrite-pattern metavariable, accepted only when parsing
 patterns.  ``#`` starts a comment that runs to end of line.  Identifiers
 other than primitive names resolve through the gate-macro table when
@@ -114,9 +115,11 @@ class Prim:
 
 @dataclass(frozen=True)
 class Seq:
-    first: "Combinator"
-    second: "Combinator"
-    loc: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+    """Chain ``parts[0] ; parts[1] ; ...``.  ``;`` is associative, so a chain
+    is flat: two or more parts, none a Seq (a chain inside an Ann part stays
+    there).  Build chains with :func:`seq`, which keeps this invariant."""
+
+    parts: tuple["Combinator", ...]
 
 
 @dataclass(frozen=True)
@@ -155,13 +158,12 @@ Combinator = Union[Prim, Seq, SumC, ProdC, Ann, MetaVar]
 
 
 def seq(*cs: Combinator) -> Combinator:
-    """Right-nested sequential composition of one or more combinators."""
-    if not cs:
+    """Sequential composition as one flat chain: chains among the arguments
+    are spliced in, and a single part is returned unchanged."""
+    parts = tuple(p for c in cs for p in (c.parts if isinstance(c, Seq) else (c,)))
+    if not parts:
         raise ValueError("empty sequence")
-    out = cs[-1]
-    for c in reversed(cs[:-1]):
-        out = Seq(c, out)
-    return out
+    return Seq(parts) if len(parts) > 1 else parts[0]
 
 
 # primitive typing schemes, one row per primitive (a, b, c are metavariables)
@@ -219,7 +221,7 @@ def invert(c: Combinator) -> Combinator:
     if isinstance(c, Prim):
         return Prim(_DUAL[c.name])
     if isinstance(c, Seq):
-        return Seq(invert(c.second), invert(c.first))
+        return seq(*[invert(p) for p in reversed(c.parts)])
     if isinstance(c, SumC):
         return SumC(invert(c.left), invert(c.right))
     if isinstance(c, ProdC):
@@ -243,7 +245,7 @@ def pretty(c: Combinator, level: int = 0) -> str:
     if isinstance(c, Ann):
         return f"({pretty(c.term)} : {type_str(c.src)} <-> {type_str(c.tgt)})"
     if isinstance(c, Seq):
-        s = f"{pretty(c.first, 1)} ; {pretty(c.second, 0)}"
+        s = " ; ".join(pretty(p, 1) for p in c.parts)
         return f"({s})" if level > 0 else s
     if isinstance(c, SumC):
         s = f"{pretty(c.left, 2)} + {pretty(c.right, 1)}"
@@ -293,6 +295,11 @@ class UnresolvedMetavariable(TypeCheckError):
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
+
+# Deepest nesting accepted: each open "(" and each right operand of "+" or "*",
+# in terms and types, is a level.  Deeper input is a ParseError, not a stack
+# overflow here or in the recursive passes after parsing.  ";" does not nest.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r\n]+)
@@ -350,6 +357,7 @@ class _Parser:
         self.pos = 0
         self.macros = macros
         self.allow_metavars = allow_metavars
+        self.depth = 0
 
     @property
     def cur(self) -> _Tok:
@@ -369,6 +377,15 @@ class _Parser:
                 expected=(repr(text),),
             )
         return self._advance()
+
+    def _nested(self, parse):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.cur.line, self.cur.col)
+        out = parse()
+        self.depth -= 1
+        return out
 
     # terms
 
@@ -393,21 +410,21 @@ class _Parser:
         left = self.prod()
         if self.cur.text == "+":
             tok = self._advance()
-            return SumC(left, self.sum(), loc=(tok.line, tok.col))
+            return SumC(left, self._nested(self.sum), loc=(tok.line, tok.col))
         return left
 
     def prod(self) -> Combinator:
         left = self.atom()
         if self.cur.text == "*":
             tok = self._advance()
-            return ProdC(left, self.prod(), loc=(tok.line, tok.col))
+            return ProdC(left, self._nested(self.prod), loc=(tok.line, tok.col))
         return left
 
     def atom(self) -> Combinator:
         t = self.cur
         if t.text == "(":
             self._advance()
-            inner = self.term()
+            inner = self._nested(self.term)
             self._expect(")")
             return inner
         if t.kind == "meta":
@@ -438,21 +455,21 @@ class _Parser:
         left = self.tprod()
         if self.cur.text == "+":
             self._advance()
-            return Sum(left, self.type_())
+            return Sum(left, self._nested(self.type_))
         return left
 
     def tprod(self) -> ValueType:
         left = self.tatom()
         if self.cur.text == "*":
             self._advance()
-            return Prod(left, self.tprod())
+            return Prod(left, self._nested(self.tprod))
         return left
 
     def tatom(self) -> ValueType:
         t = self.cur
         if t.text == "(":
             self._advance()
-            inner = self.type_()
+            inner = self._nested(self.type_)
             self._expect(")")
             return inner
         if t.kind == "num":
@@ -516,7 +533,8 @@ def parse_type_pair(text: str) -> tuple[ValueType, ValueType]:
 
 @dataclass(frozen=True)
 class Typed:
-    """A combinator node annotated with concrete source and target types."""
+    """A combinator node annotated with concrete source and target types;
+    ``children`` has one entry per Seq part and per SumC/ProdC/Ann operand."""
 
     term: Combinator
     src: ValueType
@@ -613,10 +631,10 @@ def typecheck(
             u.unify(inner.tgt, node.tgt, node)
             return Typed(node, node.src, node.tgt, (inner,))
         if isinstance(node, Seq):
-            f = infer(node.first)
-            g = infer(node.second)
-            u.unify(f.tgt, g.src, node)
-            return Typed(node, f.src, g.tgt, (f, g))
+            kids = tuple(infer(p) for p in node.parts)
+            for f, g in zip(kids, kids[1:]):
+                u.unify(f.tgt, g.src, node)
+            return Typed(node, kids[0].src, kids[-1].tgt, kids)
         if isinstance(node, SumC):
             l, r = infer(node.left), infer(node.right)
             return Typed(node, Sum(l.src, r.src), Sum(l.tgt, r.tgt), (l, r))
@@ -652,7 +670,7 @@ def strip_ann(c: Combinator) -> Combinator:
     if isinstance(c, Ann):
         return strip_ann(c.term)
     if isinstance(c, Seq):
-        return Seq(strip_ann(c.first), strip_ann(c.second))
+        return seq(*[strip_ann(p) for p in c.parts])
     if isinstance(c, SumC):
         return SumC(strip_ann(c.left), strip_ann(c.right))
     if isinstance(c, ProdC):

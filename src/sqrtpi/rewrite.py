@@ -1,11 +1,17 @@
 """Directed rewriting over combinator terms, with step traces.
 
-Matching is syntactic first-order, modulo two things only: sequential
-composition is normalized to right-nested chains before matching, and type
-annotations are transparent (they are re-established by typechecking the
-rewritten term).  A rule's pattern chain may match a prefix window of a
-longer chain; the unmatched tail is kept.  Every applied step is checked to
-preserve the term's type, so traces are well-typed throughout.
+Matching is syntactic first-order, modulo two things only: ``;`` chains are
+flat (``lang.Seq``), and type annotations are transparent (they are
+re-established by typechecking the rewritten term).  A rule's pattern chain
+may match a prefix window of a longer chain; the unmatched tail is kept.
+Every applied step is checked to preserve the term's type, so traces are
+well-typed throughout.
+
+Paths address subterms as if chains were right-nested, ``a ; (b ; c)``: in
+a chain of n parts, k ``1``s then ``0`` address part k, k ``1``s ending a path
+address the suffix window from part k, and n-1 ``1``s reach the last part.
+A path leads to a position ``(node, k)``: that window of chain ``node``, or
+the whole node when k is 0.
 
 Soundness, not confluence, is the contract: a rule ships only if all of its
 recorded instantiations evaluate equal (up to the rule's declared omega
@@ -16,7 +22,7 @@ sound.  Termination of ``simplify`` is by budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .lang import (
     Ann,
@@ -49,29 +55,7 @@ class PathInvalid(SqrtPiError):
 # --- term plumbing ----------------------------------------------------------
 
 
-def flatten_seq(t: Combinator) -> list[Combinator]:
-    if isinstance(t, Seq):
-        return flatten_seq(t.first) + flatten_seq(t.second)
-    return [t]
-
-
-def normalize(t: Combinator) -> Combinator:
-    """Right-nest all sequential chains, recursively (Ann is a barrier)."""
-    if isinstance(t, Seq):
-        parts = [normalize(p) for p in flatten_seq(t)]
-        return seq(*parts)
-    if isinstance(t, SumC):
-        return SumC(normalize(t.left), normalize(t.right))
-    if isinstance(t, ProdC):
-        return ProdC(normalize(t.left), normalize(t.right))
-    if isinstance(t, Ann):
-        return Ann(normalize(t.term), t.src, t.tgt)
-    return t
-
-
 def _children(t: Combinator) -> tuple[Combinator, ...]:
-    if isinstance(t, Seq):
-        return (t.first, t.second)
     if isinstance(t, (SumC, ProdC)):
         return (t.left, t.right)
     if isinstance(t, Ann):
@@ -79,51 +63,78 @@ def _children(t: Combinator) -> tuple[Combinator, ...]:
     return ()
 
 
-def subterm(t: Combinator, path: Sequence[int]) -> Combinator:
+def _window(node: Combinator, k: int) -> Combinator:
+    return seq(*node.parts[k:]) if k else node
+
+
+def _walk(t: Combinator, path: Sequence[int]):
+    """The position ``(node, k)`` at a path, and the (parent, index) trail
+    of the nodes entered on the way."""
+    trail: list[tuple[Combinator, int]] = []
+    node, k = t, 0
     for i in path:
-        kids = _children(t)
+        kids = _children(node)
+        if isinstance(node, Seq) and i in (0, 1):
+            kids, last = node.parts, len(node.parts) - 1
+            if i and k + 1 < last:
+                k += 1  # the next suffix window of the same chain
+                continue
+            i = last if i else k
         if not 0 <= i < len(kids):
-            raise PathInvalid(f"no child {i} at `{pretty(t)}`")
-        t = kids[i]
-    return t
+            raise PathInvalid(f"no child {i} at `{pretty(_window(node, k))}`")
+        trail.append((node, i))
+        node, k = kids[i], 0
+    return trail, node, k
+
+
+def subterm(t: Combinator, path: Sequence[int]) -> Combinator:
+    _, node, k = _walk(t, path)
+    return _window(node, k)
 
 
 def replace_at(t: Combinator, path: Sequence[int], new: Combinator) -> Combinator:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    kids = _children(t)
-    if not 0 <= i < len(kids):
-        raise PathInvalid(f"no child {i} at `{pretty(t)}`")
-    k = replace_at(kids[i], rest, new)
-    if isinstance(t, Seq):
-        return Seq(k, t.second) if i == 0 else Seq(t.first, k)
-    if isinstance(t, SumC):
-        return SumC(k, t.right) if i == 0 else SumC(t.left, k)
-    if isinstance(t, ProdC):
-        return ProdC(k, t.right) if i == 0 else ProdC(t.left, k)
-    return Ann(k, t.src, t.tgt)
-
-
-def iter_paths(t: Combinator) -> list[tuple[int, ...]]:
-    """All subterm addresses, preorder (shallowest first at each branch)."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(node: Combinator, path: tuple[int, ...]) -> None:
-        out.append(path)
-        for i, kid in enumerate(_children(node)):
-            walk(kid, path + (i,))
-
-    walk(t, ())
+    trail, node, k = _walk(t, path)
+    out = seq(*node.parts[:k], new) if k else new
+    for parent, i in reversed(trail):
+        if isinstance(parent, Seq):
+            out = seq(*parent.parts[:i], out, *parent.parts[i + 1:])
+        elif isinstance(parent, SumC):
+            out = SumC(out, parent.right) if i == 0 else SumC(parent.left, out)
+        elif isinstance(parent, ProdC):
+            out = ProdC(out, parent.right) if i == 0 else ProdC(parent.left, out)
+        else:
+            out = Ann(out, parent.src, parent.tgt)
     return out
 
 
+def iter_paths(t: Combinator) -> Iterator[tuple[tuple[int, ...], Combinator, int]]:
+    """Every ``(path, node, k)`` position, preorder (shallowest first at each
+    branch): a chain's window k comes before part k's subterms."""
+
+    def walk(node: Combinator, path: tuple[int, ...]):
+        if isinstance(node, Seq):
+            last = len(node.parts) - 1
+            for k in range(last):
+                yield path, node, k
+                yield from walk(node.parts[k], path + (0,))
+                path += (1,)
+            yield from walk(node.parts[last], path)
+            return
+        yield path, node, 0
+        for i, kid in enumerate(_children(node)):
+            yield from walk(kid, path + (i,))
+
+    return walk(t, ())
+
+
 def term_size(t: Combinator) -> int:
-    """Node count; annotations are free so they never block a reduction."""
+    """Node count, n-1 for the ``;`` of an n-part chain; annotations are free
+    so they never block a reduction."""
     if isinstance(t, Ann):
         return term_size(t.term)
-    kids = _children(t)
-    return 1 + sum(term_size(k) for k in kids)
+    if isinstance(t, Seq):
+        return len(t.parts) - 1 + sum(term_size(p) for p in t.parts)
+    return 1 + sum(term_size(k) for k in _children(t))
 
 
 # --- matching / substitution ------------------------------------------------
@@ -140,15 +151,17 @@ def match(pat: Combinator, term: Combinator, binding: Optional[dict] = None):
     return b if _match(pat, term, b) else None
 
 
-def _match(pat: Combinator, term: Combinator, b: dict) -> bool:
+def _match(pat: Combinator, term: Combinator, b: dict, k: int = 0) -> bool:
+    """Match against the position (term, k)."""
     if isinstance(pat, MetaVar):
+        term = _window(term, k)
         prev = b.get(pat.name)
         if prev is None:
             b[pat.name] = term
             return True
         return strip_ann(prev) == strip_ann(term)
     if isinstance(pat, Ann):
-        return _match(pat.term, term, b)
+        return _match(pat.term, term, b, k)
     if isinstance(term, Ann):
         return _match(pat, term.term, b)
     if isinstance(pat, Prim):
@@ -156,15 +169,13 @@ def _match(pat: Combinator, term: Combinator, b: dict) -> bool:
     if isinstance(pat, Seq):
         if not isinstance(term, Seq):
             return False
-        ps, ts = flatten_seq(pat), flatten_seq(term)
-        if len(ps) == len(ts):
-            return all(_match(p, t, b) for p, t in zip(ps, ts))
-        if len(ps) < len(ts) and isinstance(ps[-1], MetaVar):
-            head = len(ps) - 1
-            if not all(_match(p, t, b) for p, t in zip(ps[:head], ts[:head])):
-                return False
-            return _match(ps[-1], seq(*ts[head:]), b)
-        return False
+        ps, ts = pat.parts, term.parts
+        m, n = len(ps), len(ts) - k
+        if m > n or (m < n and not isinstance(ps[-1], MetaVar)):
+            return False
+        # a trailing metavariable absorbs the rest of a longer window
+        return (all(_match(ps[i], ts[k + i], b) for i in range(m - 1))
+                and _match(ps[-1], ts[-1] if m == n else _window(term, k + m - 1), b))
     if isinstance(pat, SumC):
         return (
             isinstance(term, SumC)
@@ -187,7 +198,7 @@ def subst(pat: Combinator, b: dict) -> Combinator:
         except KeyError:
             raise NoMatch(f"unbound pattern variable ?{pat.name}") from None
     if isinstance(pat, Seq):
-        return Seq(subst(pat.first, b), subst(pat.second, b))
+        return seq(*[subst(p, b) for p in pat.parts])
     if isinstance(pat, SumC):
         return SumC(subst(pat.left, b), subst(pat.right, b))
     if isinstance(pat, ProdC):
@@ -250,7 +261,6 @@ class RewriteRule:
     lhs: Combinator
     rhs: Combinator
     phase: int = 0
-    bidirectional: bool = True
     oriented: bool = False
     normalizing: bool = False
     side: Optional[SideCondition] = None
@@ -261,27 +271,22 @@ class RewriteRule:
 # --- rule application ---------------------------------------------------------
 
 
-def _rewrite_node(node: Combinator, lhs: Combinator, rhs: Combinator,
+def _rewrite_node(node: Combinator, k: int, lhs: Combinator, rhs: Combinator,
                   side: Optional[SideCondition]) -> Optional[Combinator]:
-    """Rewrite one addressed node, window-matching sequential chains.
-
-    Returns None when the pattern does not match (callers turn that into
-    NoMatch where appropriate); ``lhs`` must already be normalized.
-    """
-    lhs_n, node_n = lhs, node
-    if isinstance(lhs_n, Seq) and isinstance(node_n, Seq):
-        ps, ts = flatten_seq(lhs_n), flatten_seq(node_n)
-        if len(ps) <= len(ts):
+    """Rewrite the position (node, k), trying a pattern chain on the prefix
+    of the window first; returns the replacement, or None on no match."""
+    if isinstance(lhs, Seq) and isinstance(node, Seq):
+        ps, ts = lhs.parts, node.parts
+        m = len(ps)
+        if m <= len(ts) - k:
             b: dict = {}
-            window_ok = all(_match(p, t, b) for p, t in zip(ps, ts))
-            if window_ok and (side is None or side.holds(b)):
-                out = subst(rhs, b)
-                rest = ts[len(ps):]
-                return seq(out, *rest) if rest else out
-        # fall through to whole-node matching (covers trailing-metavar
-        # absorption, which the window loop above does not attempt)
-    b2 = match(lhs_n, node_n)
-    if b2 is None or (side is not None and not side.holds(b2)):
+            if (all(_match(ps[i], ts[k + i], b) for i in range(m))
+                    and (side is None or side.holds(b))):
+                return seq(subst(rhs, b), *ts[k + m:])
+        # fall through to whole-window matching (covers trailing-metavar
+        # absorption, which the prefix match above does not attempt)
+    b2: dict = {}
+    if not _match(lhs, node, b2, k) or (side is not None and not side.holds(b2)):
         return None
     return subst(rhs, b2)
 
@@ -293,19 +298,17 @@ def apply_rule(
     direction: Literal["forward", "backward"] = "forward",
     expected: Optional[tuple[ValueType, ValueType]] = None,
 ) -> Combinator:
-    """Apply a rule at a subterm address of the (normalized) term.
+    """Apply a rule at a subterm address of the term.
 
-    The input is normalized (right-nested ``;``) before the path is resolved,
-    and the result is checked to typecheck at the input's type.
+    The result is checked to typecheck at the input's type.
     """
     lhs, rhs = (rule.lhs, rule.rhs) if direction == "forward" else (rule.rhs, rule.lhs)
-    base = normalize(term)
-    typed = typecheck(base, expected)
-    node = subterm(base, path)
-    new_node = _rewrite_node(node, normalize(lhs), rhs, rule.side)
+    typed = typecheck(term, expected)
+    _, node, k = _walk(term, path)
+    new_node = _rewrite_node(node, k, lhs, rhs, rule.side)
     if new_node is None:
         raise NoMatch(f"rule {rule.name} does not match at path {tuple(path)}")
-    result = normalize(replace_at(base, path, new_node))
+    result = replace_at(term, path, new_node)
     try:
         typecheck(result, (typed.src, typed.tgt))
     except TypeCheckError as e:
@@ -338,7 +341,7 @@ class RewriteTrace:
 
     @property
     def final(self) -> Combinator:
-        return self.steps[-1].term_after if self.steps else normalize(self.start)
+        return self.steps[-1].term_after if self.steps else self.start
 
     @property
     def omega_power(self) -> int:
@@ -361,7 +364,7 @@ def replay(
     """Execute a fixed derivation script: (rule name, path, direction) steps."""
     if rules is None:
         rules = rules_by_name()
-    t = normalize(term)
+    t = term
     steps: list[RewriteStep] = []
     for name, path, direction in script:
         rule = rules[name]
@@ -383,11 +386,9 @@ def simplify(
     step budget bounds the run.  Every step is recorded; the endpoints agree
     up to the trace's omega power.
     """
-    decreasing = [(r, normalize(r.lhs)) for r in rule_db()
-                  if r.oriented and not r.normalizing]
-    normalizing = [(r, normalize(r.lhs)) for r in rule_db()
-                   if r.oriented and r.normalizing]
-    t = normalize(term)
+    decreasing = [r for r in rule_db() if r.oriented and not r.normalizing]
+    normalizing = [r for r in rule_db() if r.oriented and r.normalizing]
+    t = term
     typed = typecheck(t, expected)
     ty = (typed.src, typed.tgt)
     steps: list[RewriteStep] = []
@@ -396,13 +397,12 @@ def simplify(
     def try_rules(group, require_smaller: bool):
         nonlocal t
         size_now = term_size(t)
-        for path in iter_paths(t):
-            node = subterm(t, path)
-            for rule, lhs_n in group:
-                new_node = _rewrite_node(node, lhs_n, rule.rhs, rule.side)
+        for path, node, k in iter_paths(t):
+            for rule in group:
+                new_node = _rewrite_node(node, k, rule.lhs, rule.rhs, rule.side)
                 if new_node is None:
                     continue
-                t2 = normalize(replace_at(t, path, new_node))
+                t2 = replace_at(t, path, new_node)
                 if require_smaller and term_size(t2) >= size_now:
                     continue
                 key = strip_ann(t2)
@@ -519,8 +519,6 @@ def catalog_text(rules: Optional[Sequence[RewriteRule]] = None) -> str:
             out.append(f"qubits {r.qubits}")
         out.append(f"phase {r.phase}")
         flags = []
-        if r.bidirectional:
-            flags.append("bidirectional")
         if r.oriented:
             flags.append("oriented")
         if r.normalizing:
@@ -604,7 +602,6 @@ def load_catalog(text: str) -> tuple[RewriteRule, ...]:
                         lhs=cur["lhs"],
                         rhs=cur["rhs"],
                         phase=cur["phase"],
-                        bidirectional="bidirectional" in flags,
                         oriented="oriented" in flags,
                         normalizing="normalizing" in flags,
                         side=cur["side"],

@@ -60,7 +60,6 @@ from .lang import (
     Prim,
     Prod,
     ProdC,
-    Seq,
     Sum,
     SumC,
     ValueType,
@@ -93,7 +92,6 @@ def _rule(
     phase: int = 0,
     oriented: bool = False,
     normalizing: bool = False,
-    bidirectional: bool = True,
     side=None,
     insts=None,
     checks=None,
@@ -113,7 +111,6 @@ def _rule(
         lhs=lhs,
         rhs=rhs,
         phase=phase % 8,
-        bidirectional=bidirectional,
         oriented=oriented,
         normalizing=normalizing,
         side=side,
@@ -196,8 +193,7 @@ def _swapped(g: Combinator) -> Combinator:
 
 def _build_e_family(rules: list[RewriteRule]) -> None:
     w8 = seq(*[Prim("w")] * 8)
-    rules.append(_rule("E1", "E", w8, _ID1, oriented=True, bidirectional=False,
-                       qubits=1))
+    rules.append(_rule("E1", "E", w8, _ID1, oriented=True, qubits=1))
     rules.append(_rule("E2", "E", seq(Prim("v"), Prim("v")), x_gate(),
                        oriented=True, qubits=1))
     e3_rhs = scalar_mul(omega_term(2), seq(s_gate(), Prim("v"), s_gate()))
@@ -227,8 +223,7 @@ def _build_a_family(rules: list[RewriteRule]) -> None:
               insts=[{"f": h, "g": s}, {"f": s, "g": x_gate()}, {"f": t, "g": h}],
               qubits=2)
     )
-    rules.append(_rule("A3", "A", seq(*[Prim("w")] * 8), _ID1, oriented=True,
-                       bidirectional=False, qubits=1))
+    rules.append(_rule("A3", "A", seq(*[Prim("w")] * 8), _ID1, oriented=True, qubits=1))
     rules.append(_rule("A4", "A", seq(h, h), _ID2, oriented=True, qubits=1))
     rules.append(_rule("A5", "A", seq(s, s, s, s), _ID2, oriented=True, qubits=1))
     rules.append(_rule("A6", "A", seq(s, h, s, h, s, h), _ID2, phase=1,
@@ -377,21 +372,21 @@ def _build_level2(rules: list[RewriteRule]) -> None:
     c, a, b, c3 = _m("c"), _m("a"), _m("b"), _m("c3")
     w, wi, v, vi = Prim("w"), Prim("wi"), Prim("v"), Prim("vi")
     rules.append(_rule("idl◎ l".replace(" ", ""), "level2",
-                       seq(Prim("id"), c), c,
-                       oriented=True, bidirectional=True,
+                       seq(Prim("id"), c), c, oriented=True,
                        insts=[{"c": v}, {"c": h_gate()}]))
     rules.append(_rule("idr◎ l".replace(" ", ""), "level2",
-                       seq(c, Prim("id")), c,
-                       oriented=True, bidirectional=True,
+                       seq(c, Prim("id")), c, oriented=True,
                        insts=[{"c": v}, {"c": s_gate()}]))
+    # seq flattens chains, so both sides of the associativity laws build the
+    # same term; they stay in the catalog as the laws of the language
     rules.append(_rule("assoc◎ l".replace(" ", ""), "level2",
-                       Seq(a, Seq(b, c3)), Seq(Seq(a, b), c3),
+                       seq(a, seq(b, c3)), seq(seq(a, b), c3),
                        insts=[{"a": x_gate(), "b": s_gate(), "c3": h_gate()}]))
     rules.append(_rule("assoc◎ r".replace(" ", ""), "level2",
-                       Seq(Seq(a, b), c3), Seq(a, Seq(b, c3)),
+                       seq(seq(a, b), c3), seq(a, seq(b, c3)),
                        insts=[{"a": x_gate(), "b": s_gate(), "c3": h_gate()}]))
     rules.append(_rule("linv◎ l".replace(" ", ""), "level2",
-                       Seq(_m("c"), _m("ci")), Prim("id"),
+                       seq(_m("c"), _m("ci")), Prim("id"),
                        oriented=True, side=INVERSE_PAIR,
                        checks=[(seq(v, vi), _ID2),
                                (seq(w, wi), _ID1),
@@ -399,28 +394,28 @@ def _build_level2(rules: list[RewriteRule]) -> None:
                                      seq(Prim("swap+"), Prim("swap+"))),
                                 identity_at(Sum(ONE_T, BOOL)))]))
     rules.append(_rule("rinv◎ l".replace(" ", ""), "level2",
-                       Seq(_m("ci"), _m("c")), Prim("id"),
+                       seq(_m("ci"), _m("c")), Prim("id"),
                        oriented=True,
                        side=_flip_inverse_pair(),
                        checks=[(seq(vi, v), _ID2), (seq(wi, w), _ID1)]))
     rules.append(_rule("bifunct⊕", "level2",
-                       Seq(SumC(a, b), SumC(c3, _m("d"))),
-                       SumC(Seq(a, c3), Seq(b, _m("d"))),
+                       seq(SumC(a, b), SumC(c3, _m("d"))),
+                       SumC(seq(a, c3), seq(b, _m("d"))),
                        oriented=True, normalizing=True,
                        insts=[{"a": _ID1, "b": seq(w, w), "c3": _ID1, "d": seq(w, w)},
                               {"a": w, "b": v, "c3": wi, "d": vi}]))
     rules.append(_rule("bifunct⊗", "level2",
-                       Seq(ProdC(a, b), ProdC(c3, _m("d"))),
-                       ProdC(Seq(a, c3), Seq(b, _m("d"))),
+                       seq(ProdC(a, b), ProdC(c3, _m("d"))),
+                       ProdC(seq(a, c3), seq(b, _m("d"))),
                        oriented=True, normalizing=True,
                        insts=[{"a": w, "b": v, "c3": wi, "d": vi}]))
     rules.append(_rule("assocl+l", "level2",
-                       Seq(SumC(a, SumC(b, c3)), Prim("assocl+")),
-                       Seq(Prim("assocl+"), SumC(SumC(a, b), c3)),
+                       seq(SumC(a, SumC(b, c3)), Prim("assocl+")),
+                       seq(Prim("assocl+"), SumC(SumC(a, b), c3)),
                        insts=[{"a": w, "b": wi, "c3": v}]))
     rules.append(_rule("assocl+r", "level2",
-                       Seq(Prim("assocl+"), SumC(SumC(a, b), c3)),
-                       Seq(SumC(a, SumC(b, c3)), Prim("assocl+")),
+                       seq(Prim("assocl+"), SumC(SumC(a, b), c3)),
+                       seq(SumC(a, SumC(b, c3)), Prim("assocl+")),
                        insts=[{"a": w, "b": wi, "c3": v}]))
 
 
@@ -480,7 +475,7 @@ def _build_gates_lemma(rules: list[RewriteRule]) -> None:
     rules.append(_rule("gates_ii", "gates", seq(x, x), _ID2, oriented=True))
     rules.append(_rule("gates_iii", "gates",
                        seq(phase_gate(sv), phase_gate(sv)),
-                       phase_gate(Seq(sv, sv)),
+                       phase_gate(seq(sv, sv)),
                        insts=[{"s": omega_term(n)} for n in (1, 2, 3)]))
     rules.append(_rule("gates_iv", "gates",
                        invert(phase_gate(omega_term(1))), phase_gate(omega_term(7)),
@@ -489,7 +484,7 @@ def _build_gates_lemma(rules: list[RewriteRule]) -> None:
                                for n in (1, 2, 3)]))
     rules.append(_rule("gates_v", "gates",
                        seq(phase_gate(sv), phase_gate(_m("t"))),
-                       phase_gate(Seq(sv, _m("t"))),
+                       phase_gate(seq(sv, _m("t"))),
                        insts=[{"s": omega_term(1), "t": omega_term(2)},
                               {"s": omega_term(3), "t": omega_term(1)}]))
     rules.append(_rule("gates_vi", "gates",
@@ -566,7 +561,7 @@ def _build_mat_lemma(rules: list[RewriteRule]) -> None:
         ctrl(seq(g1, g2), a),
     )
     rules.append(_rule("mat_x", "mat",
-                       seq(cp(f), cp(_m("g"))), ctrl(Seq(f, _m("g")), BOOL),
+                       seq(cp(f), cp(_m("g"))), ctrl(seq(f, _m("g")), BOOL),
                        insts=[{"f": x, "g": s}, {"f": h, "g": x}],
                        checks=[ctrl_seq_pair(cxg, cxg, _TWO_Q)]))
 

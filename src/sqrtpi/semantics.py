@@ -90,9 +90,6 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    def scale(self, x: DyadicCyclotomic) -> ExactMatrix:
-        return ExactMatrix(self.rows, self.cols, tuple(x * e for e in self.entries))
-
     def times_omega_pow(self, k: int) -> ExactMatrix:
         return ExactMatrix(
             self.rows, self.cols, tuple(e.times_omega_pow(k) for e in self.entries)
@@ -300,11 +297,10 @@ def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     elif isinstance(term, Ann):
         m = eval_typed(t.children[0], memo)
     elif isinstance(term, Seq):
-        m1 = eval_typed(t.children[0], memo)
-        m2 = eval_typed(t.children[1], memo)
-        if m2.cols != m1.rows:  # defensive; unreachable on checked input
-            raise DimensionError("sequential composition dimension mismatch")
-        m = compose(m2, m1)
+        # front to back: each part acts on the product of the ones before it
+        m = eval_typed(t.children[0], memo)
+        for part in t.children[1:]:
+            m = compose(eval_typed(part, memo), m)
     elif isinstance(term, SumC):
         m = direct_sum(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
     elif isinstance(term, ProdC):

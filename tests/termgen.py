@@ -17,10 +17,10 @@ from sqrtpi.lang import (
     Prim,
     Prod,
     ProdC,
-    Seq,
     Sum,
     SumC,
     ValueType,
+    seq,
 )
 
 
@@ -106,7 +106,7 @@ def gen_from(rng: random.Random, src: ValueType, depth: int) -> tuple[Combinator
     if kind == "seq":
         c1, mid = gen_from(rng, src, depth - 1)
         c2, out = gen_from(rng, mid, depth - 1)
-        return Seq(c1, c2), out
+        return seq(c1, c2), out
     if kind == "sumc":
         l, lt = gen_from(rng, src.left, depth - 1)
         r, rt = gen_from(rng, src.right, depth - 1)

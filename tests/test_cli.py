@@ -182,3 +182,49 @@ def test_catalog_subcommand_round_trips(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
     assert len(load_catalog(out)) == len(rule_db())
+    # catalogs that still carry the retired `bidirectional` flag load the same
+    old = out.replace("flags oriented", "flags bidirectional oriented")
+    assert old != out
+    flags = [(r.name, r.oriented, r.normalizing) for r in rule_db()]
+    assert [(r.name, r.oriented, r.normalizing) for r in load_catalog(old)] == flags
+
+
+def test_long_circuit_equiv_is_a_verdict(capsys, tmp_path):
+    circ = tmp_path / "long.circ"
+    circ.write_text("qubits 2\n" + "h 0\ncx 0 1\n" * 300, encoding="utf-8")
+    code, out, err = run(capsys, "equiv", str(circ), str(circ))
+    assert (code, out.strip(), err) == (0, "equal", "")
+
+
+def test_long_chain_parses_and_typechecks(capsys, tmp_path):
+    term = tmp_path / "long.term"
+    term.write_text(" ; ".join(["v"] * 2000), encoding="utf-8")
+    code, out, _ = run(capsys, "parse", str(term))
+    assert (code, out.count(";")) == (0, 1999)
+    code, out, _ = run(capsys, "typecheck", str(term))
+    assert (code, out.strip()) == (0, "2 <-> 2")
+
+
+def test_nesting_limit_exit_code(capsys, tmp_path):
+    from sqrtpi.lang import MAX_NESTING
+
+    for depth, want in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2), (600, 2)):
+        term = tmp_path / f"deep{depth}.term"
+        term.write_text("(" * depth + "v" + ")" * depth, encoding="utf-8")
+        code, out, err = run(capsys, "typecheck", str(term))
+        assert code == want, depth
+        if want == 0:
+            assert out.strip() == "2 <-> 2"
+        else:
+            assert err.startswith("error: ") and "nesting deeper" in err
+            assert len(err.splitlines()) == 1
+
+
+def test_recursion_error_is_a_diagnostic(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("sqrtpi.cli.typecheck", overflow)
+    code, out, err = run(capsys, "typecheck", f"{FILES}/h.term")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -36,25 +36,25 @@ def test_dimension():
 
 
 def test_parse_two_token_sequence():
-    assert parse("swap+ ; swap+") == Seq(Prim("swap+"), Prim("swap+"))
+    assert parse("swap+ ; swap+") == seq(Prim("swap+"), Prim("swap+"))
 
 
 def test_parse_ctrl_pattern():
     t = parse("dist ; (id + (id * swap+)) ; factor")
-    assert t == Seq(
+    assert t == seq(
         Prim("dist"),
-        Seq(SumC(Prim("id"), ProdC(Prim("id"), Prim("swap+"))), Prim("factor")),
+        seq(SumC(Prim("id"), ProdC(Prim("id"), Prim("swap+"))), Prim("factor")),
     )
 
 
 def test_parse_vv():
-    assert parse("v ; v") == Seq(Prim("v"), Prim("v"))
+    assert parse("v ; v") == seq(Prim("v"), Prim("v"))
 
 
 def test_parse_precedence():
     # ';' binds loosest, then '+', then '*'
     t = parse("id + id * swap+ ; v")
-    assert t == Seq(SumC(Prim("id"), ProdC(Prim("id"), Prim("swap+"))), Prim("v"))
+    assert t == seq(SumC(Prim("id"), ProdC(Prim("id"), Prim("swap+"))), Prim("v"))
 
 
 def test_parse_compound_names():
@@ -90,8 +90,23 @@ def test_parse_unknown_name():
         parse("h")  # gate names need expand_macros=True
 
 
+def test_parse_nesting_limit_counts_parens_operators_and_types():
+    from sqrtpi.lang import MAX_NESTING
+
+    n = MAX_NESTING
+    ok = ["(" * n + "v" + ")" * n, " + ".join(["v"] * (n + 1)),
+          " * ".join(["w"] * (n + 1)), "v : " + "(" * n + "2" + ")" * n + " <-> 2"]
+    deep = ["(" * (n + 1) + "v" + ")" * (n + 1), " + ".join(["v"] * (n + 2)),
+            " * ".join(["w"] * (n + 2)), "w : 1 <-> " + "*".join(["1"] * (n + 2))]
+    for text in ok:
+        parse(text)
+    for text in deep:
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(text)
+
+
 def test_parse_comments():
-    assert parse("v ; v  # square root of not, twice") == Seq(Prim("v"), Prim("v"))
+    assert parse("v ; v  # square root of not, twice") == seq(Prim("v"), Prim("v"))
 
 
 def test_typecheck_v():
@@ -100,7 +115,7 @@ def test_typecheck_v():
 
 
 def test_typecheck_constructor_clash():
-    bad = Seq(Ann(Prim("swap+"), BOOL, BOOL), Ann(Prim("swap*"), Prod(ONE_T, ONE_T), Prod(ONE_T, ONE_T)))
+    bad = seq(Ann(Prim("swap+"), BOOL, BOOL), Ann(Prim("swap*"), Prod(ONE_T, ONE_T), Prod(ONE_T, ONE_T)))
     with pytest.raises(UnificationFailure) as e:
         typecheck(bad)
     kinds = {type(e.value.t1), type(e.value.t2)}
@@ -139,7 +154,7 @@ def test_invert_primitives():
 
 def test_invert_contravariant():
     a, b = Prim("v"), Prim("swap+")
-    assert invert(Seq(a, b)) == Seq(invert(b), invert(a))
+    assert invert(seq(a, b)) == seq(invert(b), invert(a))
 
 
 def test_invert_annotation_swaps_types():
@@ -148,9 +163,10 @@ def test_invert_annotation_swaps_types():
 
 
 def test_pretty_examples():
-    assert pretty(Seq(Prim("v"), Prim("v"))) == "v ; v"
+    assert pretty(seq(Prim("v"), Prim("v"))) == "v ; v"
     assert pretty(SumC(Prim("id"), Prim("w"))) == "id + w"
-    assert pretty(Seq(Seq(Prim("v"), Prim("v")), Prim("w"))) == "(v ; v) ; w"
+    assert parse("(v ; v) ; w") == parse("v ; v ; w") == parse("v ; (v ; w)")
+    assert pretty(parse("(v ; v) ; w")) == "v ; v ; w"
     assert pretty(ProdC(SumC(Prim("id"), Prim("w")), Prim("v"))) == "(id + w) * v"
 
 
@@ -160,9 +176,14 @@ def test_type_str_round_trip():
         assert parse_type(type_str(t)) == t
 
 
-def test_seq_helper_right_nests():
+def test_seq_helper_splices_chains():
     a, b, c = Prim("v"), Prim("w"), Prim("wi")
-    assert seq(a, b, c) == Seq(a, Seq(b, c))
+    assert seq(a, b, c) == Seq((a, b, c))
+    assert seq(seq(a, b), c) == seq(a, seq(b, c)) == seq(a, b, c)
+    assert seq(a) is a
+    # an annotation is a barrier: the chain inside it is not spliced
+    inner = Ann(seq(a, a), BOOL, BOOL)
+    assert seq(inner, a).parts == (inner, a)
 
 
 def test_random_terms_typecheck_and_preserve_dimension():

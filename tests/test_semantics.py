@@ -9,7 +9,6 @@ from sqrtpi.lang import (
     Prim,
     Prod,
     ProdC,
-    Seq,
     Sum,
     SumC,
     invert,
@@ -183,18 +182,21 @@ def _fold_eval(t):
     if isinstance(term, A):
         return _fold_eval(t.children[0])
     if isinstance(term, Q):
+        # one child per part of the chain, applied left to right
         m1 = _fold_eval(t.children[0])
-        m2 = _fold_eval(t.children[1])
-        rows = len(m2)
-        inner = len(m1)
-        cols = len(m1[0]) if inner else 0
-        return [
-            [
-                sum((m2[i][k] * m1[k][j] for k in range(inner)), ZERO)
-                for j in range(cols)
+        for child in t.children[1:]:
+            m2 = _fold_eval(child)
+            rows = len(m2)
+            inner = len(m1)
+            cols = len(m1[0]) if inner else 0
+            m1 = [
+                [
+                    sum((m2[i][k] * m1[k][j] for k in range(inner)), ZERO)
+                    for j in range(cols)
+                ]
+                for i in range(rows)
             ]
-            for i in range(rows)
-        ]
+        return m1
     if isinstance(term, SC):
         a = _fold_eval(t.children[0])
         b = _fold_eval(t.children[1])
@@ -258,8 +260,8 @@ def test_interchange_law():
         c3, tgt1 = gen_from(rng, b, 3)
         c2, e = gen_from(rng, d, 3)
         c4, tgt2 = gen_from(rng, e, 3)
-        lhs = Seq(SumC(c1, c2), SumC(c3, c4))
-        rhs = SumC(Seq(c1, c3), Seq(c2, c4))
+        lhs = seq(SumC(c1, c2), SumC(c3, c4))
+        rhs = SumC(seq(c1, c3), seq(c2, c4))
         expect = (Sum(a, d), Sum(tgt1, tgt2))
         assert evaluate(lhs, expect) == evaluate(rhs, expect)
 
