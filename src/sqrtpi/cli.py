@@ -2,7 +2,8 @@
 
 Subcommands: parse, typecheck, eval, equiv, simplify, compile, check-rules.
 Exit codes: 0 success (or "equivalent"), 1 not equivalent / rules failed,
-2 parse or type errors, or input too deeply nested (diagnostics on stderr).
+2 parse or type errors, input too deeply nested, or a matrix larger than
+``semantics.MAX_DIMENSION`` (diagnostics on stderr).
 
 Files ending in ``.circ`` are read as circuit files and compiled; anything
 else is parsed as a term in the surface syntax.  Set SQRTPI_RULE_CATALOG to

@@ -154,6 +154,11 @@ class DyadicCyclotomic:
         return DyadicCyclotomic(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __mul__(self, other: DyadicCyclotomic) -> DyadicCyclotomic:
+        # most entries of a denotation are ONE (they come from permutations)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b = self.c, other.c
         out = [_D_ZERO, _D_ZERO, _D_ZERO, _D_ZERO]
         for i in range(4):

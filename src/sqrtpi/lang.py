@@ -648,21 +648,30 @@ def typecheck(
         u.unify(root.src, expected[0], c)
         u.unify(root.tgt, expected[1], c)
 
+    # found type node (by identity) -> its ground type, or None if a variable
+    # is left; one entry per shared node, so each subtree is resolved once
+    ground: dict[int, Optional[ValueType]] = {}
+
+    def ground_type(ty: ValueType) -> Optional[ValueType]:
+        ty = u.find(ty)
+        key = id(ty)
+        if key not in ground:
+            if isinstance(ty, TVar):
+                ground[key] = None
+            elif isinstance(ty, (Sum, Prod)):
+                l, r = ground_type(ty.left), ground_type(ty.right)
+                ground[key] = None if l is None or r is None else type(ty)(l, r)
+            else:
+                ground[key] = ty
+        return ground[key]
+
     def resolve(t: Typed) -> Typed:
-        src, tgt = u.resolve(t.src), u.resolve(t.tgt)
-        if _has_var(src) or _has_var(tgt):
+        src, tgt = ground_type(t.src), ground_type(t.tgt)
+        if src is None or tgt is None:
             raise UnresolvedMetavariable(t.term)
         return Typed(t.term, src, tgt, tuple(resolve(ch) for ch in t.children))
 
     return resolve(root)
-
-
-def _has_var(t: ValueType) -> bool:
-    if isinstance(t, TVar):
-        return True
-    if isinstance(t, (Sum, Prod)):
-        return _has_var(t.left) or _has_var(t.right)
-    return False
 
 
 def strip_ann(c: Combinator) -> Combinator:

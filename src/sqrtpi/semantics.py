@@ -7,6 +7,15 @@ significant.  Under these conventions the associators, unitors, distributors
 and annihilators all denote identity permutations, swap+ is the block swap,
 and swap* is the perfect shuffle.  0-dimensional objects are first-class:
 matrices may have zero rows or columns.
+
+Every primitive except v and vi denotes a monomial matrix (one nonzero per
+column: the Pi primitives are permutations, w and wi are scalars), so most
+matrices are mostly zeros.  They are stored as sparse columns: for each
+column, its nonzero entries with their rows, in increasing row order.  Zeros are never stored,
+which makes the form canonical and equality structural.  The kernels work
+over columns.  Z[1/2, w] is a subring of the complex numbers, so it has no
+zero divisors: a product of stored entries is never zero, and only sums
+(in ``compose``) can cancel.
 """
 
 from __future__ import annotations
@@ -37,10 +46,21 @@ class DimensionError(SqrtPiError):
     pass
 
 
-class ExactMatrix:
-    """Dense rows x cols matrix of DyadicCyclotomic entries (row-major)."""
+# Largest number of basis states (2^10: ten qubits) that ``evaluate`` accepts.
+MAX_DIMENSION = 1 << 10
 
-    __slots__ = ("rows", "cols", "entries")
+
+class ExactMatrix:
+    """rows x cols matrix over Z[1/2, w], stored as sparse columns.
+
+    ``columns[j]`` holds the ``(row, entry)`` pairs of column j's nonzero
+    entries in increasing row order.  No zero is ever stored, so the form is
+    canonical: two matrices are equal iff their shapes and columns are, and
+    ``==`` and ``hash`` are structural.  The constructor takes the dense
+    row-major entry list; ``entries`` rebuilds that list for display and JSON.
+    """
+
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
         entries = tuple(entries)
@@ -48,32 +68,51 @@ class ExactMatrix:
             raise DimensionError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        columns = tuple(
+            tuple((i, e) for i, e in enumerate(entries[j::cols]) if e) for j in range(cols)
+        )
+        self._set(rows, cols, columns)
+
+    def _set(self, rows: int, cols: int, columns: tuple) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def _of_columns(cls, rows: int, cols: int, columns: tuple) -> ExactMatrix:
+        """Build from columns already in canonical form (no zeros, rows sorted)."""
+        m = object.__new__(cls)
+        m._set(rows, cols, columns)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls._of_columns(n, n, tuple(((j, ONE),) for j in range(n)))
 
     @classmethod
     def permutation(cls, n: int, image) -> ExactMatrix:
         """Matrix sending source basis vector j to target vector image[j]."""
-        ent = [ZERO] * (n * n)
-        for j, i in enumerate(image):
-            ent[i * n + j] = ONE
-        return cls(n, n, ent)
+        return cls._of_columns(n, n, tuple(((i, ONE),) for i in image))
 
     @classmethod
     def scalar(cls, x: DyadicCyclotomic) -> ExactMatrix:
         return cls(1, 1, (x,))
 
+    @property
+    def entries(self) -> tuple[DyadicCyclotomic, ...]:
+        """The dense row-major entries, zeros included."""
+        out = [ZERO] * (self.rows * self.cols)
+        for j, col in enumerate(self.columns):
+            for i, e in col:
+                out[i * self.cols + j] = e
+        return tuple(out)
+
     def __getitem__(self, ij: tuple[int, int]) -> DyadicCyclotomic:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return next((e for r, e in self.columns[j] if r == i), ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -81,22 +120,26 @@ class ExactMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.columns))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
     def times_omega_pow(self, k: int) -> ExactMatrix:
-        return ExactMatrix(
-            self.rows, self.cols, tuple(e.times_omega_pow(k) for e in self.entries)
+        return ExactMatrix._of_columns(
+            self.rows,
+            self.cols,
+            tuple(tuple((i, e.times_omega_pow(k)) for i, e in col) for col in self.columns),
         )
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == ExactMatrix.identity(self.rows)
+        return self.rows == self.cols and all(
+            col == ((j, ONE),) for j, col in enumerate(self.columns)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -115,61 +158,51 @@ class ExactMatrix:
 
 
 def compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Matrix product a . b (a.cols must equal b.rows)."""
+    """Matrix product a . b (a.cols must equal b.rows), column by column.
+
+    Column j of the product is a's columns weighted by column j of b.  A
+    product of nonzeros is never zero (the ring is an integral domain), so
+    a one-entry column of b just scales a column of a; only sums can cancel.
+    """
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = [ZERO] * (a.rows * b.cols)
-    for i in range(a.rows):
-        arow = i * a.cols
-        orow = i * b.cols
-        for k in range(a.cols):
-            x = a.entries[arow + k]
-            if not x:
-                continue
-            brow = k * b.cols
-            for j in range(b.cols):
-                y = b.entries[brow + j]
-                if y:
-                    out[orow + j] = out[orow + j] + x * y
-    return ExactMatrix(a.rows, b.cols, out)
+    acols = a.columns
+    out = []
+    for bcol in b.columns:
+        if len(bcol) == 1:
+            k, y = bcol[0]
+            out.append(tuple((i, x * y) for i, x in acols[k]))
+            continue
+        acc: dict[int, DyadicCyclotomic] = {}
+        for k, y in bcol:
+            for i, x in acols[k]:
+                p = x * y
+                acc[i] = acc[i] + p if i in acc else p
+        out.append(tuple((i, acc[i]) for i in sorted(acc) if acc[i]))
+    return ExactMatrix._of_columns(a.rows, b.cols, tuple(out))
 
 
 def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    rows, cols = a.rows + b.rows, a.cols + b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i * cols + j] = a.entries[i * a.cols + j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            out[(a.rows + i) * cols + (a.cols + j)] = b.entries[i * b.cols + j]
-    return ExactMatrix(rows, cols, out)
+    shifted = tuple(tuple((a.rows + i, y) for i, y in col) for col in b.columns)
+    return ExactMatrix._of_columns(a.rows + b.rows, a.cols + b.cols, a.columns + shifted)
 
 
 def kronecker(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product with the left factor most significant."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.entries[i * a.cols + j]
-            if not x:
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                for l in range(b.cols):
-                    y = b.entries[k * b.cols + l]
-                    if y:
-                        out[base + l] = x * y
-    return ExactMatrix(rows, cols, out)
+    columns = tuple(
+        tuple((i * b.rows + k, x * y) for i, x in acol for k, y in bcol)
+        for acol in a.columns
+        for bcol in b.columns
+    )
+    return ExactMatrix._of_columns(a.rows * b.rows, a.cols * b.cols, columns)
 
 
 def adjoint(a: ExactMatrix) -> ExactMatrix:
-    out = [ZERO] * (a.rows * a.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[j * a.rows + i] = a.entries[i * a.cols + j].conjugate()
-    return ExactMatrix(a.cols, a.rows, out)
+    rows: list[list] = [[] for _ in range(a.rows)]
+    for j, col in enumerate(a.columns):
+        for i, x in col:
+            rows[i].append((j, x.conjugate()))
+    return ExactMatrix._of_columns(a.cols, a.rows, tuple(map(tuple, rows)))
 
 
 # --- equality verdicts -----------------------------------------------------
@@ -204,10 +237,11 @@ def equal_matrices(
         return Verdict("equal")
     if phase_mode == "strict":
         return Verdict("not_equal")
-    # find the first nonzero entry of b and read off the candidate power
-    for idx, y in enumerate(b.entries):
-        if y:
-            x = a.entries[idx]
+    # when b != 0 at most one k fits, so any nonzero entry of b names it
+    for j, col in enumerate(b.columns):
+        if col:
+            i, y = col[0]
+            x = a[i, j]
             for k in range(1, 8):
                 if x == y.times_omega_pow(k):
                     if a == b.times_omega_pow(k):
@@ -304,7 +338,12 @@ def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     elif isinstance(term, SumC):
         m = direct_sum(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
     elif isinstance(term, ProdC):
-        m = kronecker(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
+        if dimension(t.src) == 0:
+            # a zero factor makes the product 0x0, so the other factor, which
+            # may be larger than the root, is not evaluated
+            m = ExactMatrix(0, 0, ())
+        else:
+            m = kronecker(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
     elif isinstance(term, MetaVar):
         raise SqrtPiError(f"cannot evaluate pattern variable ?{term.name}")
     else:
@@ -317,8 +356,20 @@ def evaluate(
     c: Union[Combinator, Typed],
     expected: Optional[tuple[ValueType, ValueType]] = None,
 ) -> ExactMatrix:
-    """Typecheck (if needed) and evaluate a combinator."""
+    """Typecheck (if needed) and evaluate a combinator.
+
+    Raises DimensionError before any matrix is built if the term's type has
+    more than MAX_DIMENSION basis states.  Every subterm that is evaluated
+    is at most that large: all terms denote isomorphisms, and the factors of
+    a 0-dimensional product are skipped.
+    """
     t = c if isinstance(c, Typed) else typecheck(c, expected)
+    for ty in (t.src, t.tgt):
+        d = dimension(ty)
+        if d > MAX_DIMENSION:
+            raise DimensionError(
+                f"dimension {d} exceeds the evaluation limit of {MAX_DIMENSION}"
+            )
     return eval_typed(t)
 
 
@@ -329,10 +380,11 @@ def render(m: ExactMatrix, unicode_ok: bool = True) -> str:
     """Text display over a common 2^k * sqrt(2)^m denominator."""
     if m.rows == 0 or m.cols == 0:
         return f"({m.rows}x{m.cols} matrix)"
-    k = max(max(d.k for d in e.c) for e in m.entries)
+    entries = m.entries
+    k = max(max(d.k for d in e.c) for e in entries)
     # bring every entry to the common 2^k denominator
     scaled = []
-    for e in m.entries:
+    for e in entries:
         ns, ke = e.common_denominator()
         shift = k - ke
         scaled.append(DyadicCyclotomic.from_coeffs(tuple(n << shift for n in ns), 0))
@@ -368,8 +420,9 @@ def render(m: ExactMatrix, unicode_ok: bool = True) -> str:
 
 def render_float(m: ExactMatrix) -> str:
     """Approximate complex display (never authoritative)."""
+    entries = m.entries
     cells = [
-        [format(m.entries[i * m.cols + j].to_complex(), ".4f") for j in range(m.cols)]
+        [format(entries[i * m.cols + j].to_complex(), ".4f") for j in range(m.cols)]
         for i in range(m.rows)
     ]
     widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)] if m.rows else []

@@ -1,4 +1,10 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+import random
+import time
 
 import pytest
 
@@ -228,3 +234,66 @@ def test_recursion_error_is_a_diagnostic(capsys, monkeypatch):
     code, out, err = run(capsys, "typecheck", f"{FILES}/h.term")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# gate name -> arity for the seeded circuits whose eval output is pinned
+EVAL_GATES = {"h": 1, "t": 1, "s": 1, "x": 1, "z": 1, "v": 1,
+              "cx": 2, "cz": 2, "swap": 2, "ccx": 3}
+EVAL_MODES = {"text": (), "json": ("--json",), "float": ("--float",)}
+
+
+def _seeded_circuit(n: int, seed: int, count: int = 20) -> str:
+    rng = random.Random(seed)
+    names = [g for g, k in EVAL_GATES.items() if k <= n]
+    lines = [f"qubits {n}"]
+    for _ in range(count):
+        g = rng.choice(names)
+        lines.append(" ".join([g, *map(str, rng.sample(range(n), EVAL_GATES[g]))]))
+    return "\n".join(lines) + "\n"
+
+
+def eval_digests(workdir) -> dict:
+    """sha256 prefix of `eval` stdout in each mode, per demo file and per
+    seeded 2-6 qubit circuit (the circuits are written to `workdir`)."""
+    paths = {name: os.path.join(FILES, name) for name in sorted(os.listdir(FILES))}
+    for n in range(2, 7):
+        for seed in (n, 10 + n):
+            path = os.path.join(workdir, f"q{n}_seed{seed}.circ")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(_seeded_circuit(n, seed))
+            paths[os.path.basename(path)] = path
+    out = {}
+    for name, path in paths.items():
+        for mode, flags in EVAL_MODES.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["eval", path, "--expand-macros", *flags])
+            assert code == 0, (name, mode)
+            out[f"{name} {mode}"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
+    return out
+
+
+def test_eval_output_matches_pinned_digests(tmp_path):
+    # eval_digests.json was recorded while matrices were stored densely: the
+    # printed bytes must not depend on how a matrix is stored
+    with open(os.path.join(os.path.dirname(__file__), "eval_digests.json"),
+              encoding="utf-8") as f:
+        pinned = json.load(f)
+    assert eval_digests(str(tmp_path)) == pinned
+
+
+def test_dimension_limit_exit_code(capsys, tmp_path, monkeypatch):
+    # a regression fails here instead of building a 2^30 x 2^30 matrix
+    def never(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr("sqrtpi.semantics.eval_typed", never)
+    circ = tmp_path / "wide.circ"
+    circ.write_text("qubits 30\nh 0\n", encoding="utf-8")
+    for argv in (["eval", str(circ)], ["equiv", str(circ), str(circ)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "exceeds" in err
+        assert len(err.splitlines()) == 1

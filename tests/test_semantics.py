@@ -300,3 +300,192 @@ def test_three_controlled_gates_compose_at_4x4():
     product = compose(csxdg, compose(cx, csx))
     assert product.rows == product.cols == 4
     assert compose(product, adjoint(product)) == ExactMatrix.identity(4)
+
+
+# --- kernels against an independent dense oracle ----------------------------
+#
+# The oracle works on (rows, cols, nested lists) triples with the ring
+# operations only; it uses none of the matrix kernels or ExactMatrix methods.
+
+
+def _random_entry(rng):
+    if rng.random() < 0.6:
+        return ZERO
+    return dc(*(rng.randint(-2, 2) for _ in range(4)), k=rng.randint(0, 2))
+
+
+def _random_dense(rng, rows, cols):
+    return rows, cols, [[_random_entry(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def _to_matrix(d):
+    rows, cols, lists = d
+    return ExactMatrix(rows, cols, [e for row in lists for e in row])
+
+
+def _assert_same(m, d):
+    rows, cols, lists = d
+    assert (m.rows, m.cols) == (rows, cols)
+    assert list(m.entries) == [e for row in lists for e in row]
+    expect = _to_matrix(d)
+    assert m == expect and hash(m) == hash(expect)
+
+
+def _o_compose(a, b):
+    ra, ca, la = a
+    rb, cb, lb = b
+    assert ca == rb
+    return ra, cb, [[sum((la[i][k] * lb[k][j] for k in range(ca)), ZERO)
+                     for j in range(cb)] for i in range(ra)]
+
+
+def _o_kronecker(a, b):
+    ra, ca, la = a
+    rb, cb, lb = b
+    return ra * rb, ca * cb, [[la[i // rb][j // cb] * lb[i % rb][j % cb]
+                               for j in range(ca * cb)] for i in range(ra * rb)]
+
+
+def _o_direct_sum(a, b):
+    ra, ca, la = a
+    rb, cb, lb = b
+    return ra + rb, ca + cb, ([row + [ZERO] * cb for row in la]
+                              + [[ZERO] * ca + row for row in lb])
+
+
+def _o_adjoint(a):
+    rows, cols, lists = a
+    return cols, rows, [[lists[i][j].conjugate() for i in range(rows)] for j in range(cols)]
+
+
+def _o_scale(a, x):
+    rows, cols, lists = a
+    return rows, cols, [[e * x for e in row] for row in lists]
+
+
+def test_kernels_match_dense_oracle_on_random_matrices():
+    import random
+
+    rng = random.Random(53)
+    for _ in range(300):
+        r, n, c = (rng.randint(0, 4) for _ in range(3))
+        a, b = _random_dense(rng, r, n), _random_dense(rng, n, c)
+        ma, mb = _to_matrix(a), _to_matrix(b)
+        _assert_same(ma, a)
+        _assert_same(compose(ma, mb), _o_compose(a, b))
+        p = _random_dense(rng, rng.randint(0, 3), rng.randint(0, 3))
+        _assert_same(kronecker(ma, _to_matrix(p)), _o_kronecker(a, p))
+        _assert_same(direct_sum(ma, _to_matrix(p)), _o_direct_sum(a, p))
+        _assert_same(adjoint(ma), _o_adjoint(a))
+        k = rng.randint(-8, 15)
+        _assert_same(ma.times_omega_pow(k), _o_scale(a, omega_pow(k)))
+
+
+def test_compose_cancellation_is_canonical():
+    hh = compose(H_MAT, H_MAT)
+    assert hh == I2 and hash(hh) == hash(I2) and hh.is_identity()
+    # a sum that cancels to zero leaves an empty column, like a zero entry
+    row = mat([[ONE, ONE]])
+    col = mat([[ONE], [dc(-1)]])
+    zero = compose(row, col)
+    assert zero == mat([[ZERO]]) and hash(zero) == hash(mat([[ZERO]]))
+    assert zero.columns == ((),)
+
+
+def test_is_identity_checks_every_column():
+    assert ExactMatrix.identity(5).is_identity()
+    assert ExactMatrix(0, 0, ()).is_identity()
+    assert not ExactMatrix.permutation(3, [0, 2, 1]).is_identity()
+    assert not ExactMatrix.identity(3).times_omega_pow(1).is_identity()
+    assert not mat([[ONE, ZERO], [ZERO, ZERO]]).is_identity()
+    assert not mat([[ONE], [ZERO]]).is_identity()
+
+
+def test_equal_matrices_phase_read_off_any_nonzero():
+    # row-major, b's first nonzero is (0, 1); column-major it is (1, 0)
+    y1, y2 = dc(1, 1, k=1), dc(0, 2, 0, -1)
+    b = mat([[ZERO, y1], [y2, ZERO]])
+    a = mat([[ZERO, y1 * omega_pow(3)], [y2 * omega_pow(3), ZERO]])
+    v = equal_matrices(a, b, "up_to_omega_power")
+    assert (v.kind, v.phase) == ("equal_with_phase", 3)
+    # the two nonzeros of b disagree on the phase, in either order
+    for bad in (mat([[ZERO, y1 * omega_pow(5)], [y2 * omega_pow(3), ZERO]]),
+                mat([[ZERO, y1 * omega_pow(3)], [y2 * omega_pow(5), ZERO]]),
+                mat([[ZERO, ZERO], [y2 * omega_pow(3), ZERO]])):
+        assert equal_matrices(bad, b, "up_to_omega_power").kind == "not_equal"
+    zero = mat([[ZERO, ZERO], [ZERO, ZERO]])
+    assert equal_matrices(b, zero, "up_to_omega_power").kind == "not_equal"
+    assert equal_matrices(zero, zero, "up_to_omega_power").kind == "equal"
+
+
+def test_equal_matrices_phase_on_random_matrices():
+    import random
+
+    rng = random.Random(59)
+    for _ in range(200):
+        b = _random_dense(rng, rng.randint(1, 4), rng.randint(1, 4))
+        k = rng.randint(0, 7)
+        a = _o_scale(b, omega_pow(k))
+        v = equal_matrices(_to_matrix(a), _to_matrix(b), "up_to_omega_power")
+        if not any(e for row in b[2] for e in row):
+            assert v.kind == "equal"
+        elif k == 0:
+            assert v.kind == "equal"
+        else:
+            assert (v.kind, v.phase) == ("equal_with_phase", k)
+        # a nonzero where b has a zero: no power of w makes up for it
+        rows, cols, lists = a
+        holes = [(i, j) for i in range(rows) for j in range(cols) if not b[2][i][j]]
+        if holes:
+            i, j = rng.choice(holes)
+            lists = [list(row) for row in lists]
+            lists[i][j] = ONE
+            assert equal_matrices(_to_matrix((rows, cols, lists)), _to_matrix(b),
+                                  "up_to_omega_power").kind == "not_equal"
+
+
+# --- dimension limit -----------------------------------------------------------
+
+
+def _wires(n):
+    t = BOOL
+    for _ in range(n - 1):
+        t = Prod(BOOL, t)
+    return t
+
+
+def _bounded_prims(monkeypatch):
+    """Fail, instead of allocating, if a primitive above the limit is built."""
+    from sqrtpi import semantics
+    from sqrtpi.lang import dimension
+
+    real = semantics._prim_matrix
+
+    def checked(name, src, tgt):
+        assert dimension(src) <= semantics.MAX_DIMENSION, "primitive above the limit"
+        return real(name, src, tgt)
+
+    monkeypatch.setattr(semantics, "_prim_matrix", checked)
+
+
+def test_dimension_limit_is_checked_before_evaluation(monkeypatch):
+    from sqrtpi.semantics import MAX_DIMENSION
+
+    _bounded_prims(monkeypatch)
+    n = MAX_DIMENSION.bit_length() - 1
+    assert 1 << n == MAX_DIMENSION
+    assert evaluate(Prim("id"), (_wires(n), _wires(n))).is_identity()
+    for big in (n + 1, 30):
+        with pytest.raises(DimensionError, match="exceeds"):
+            evaluate(Prim("id"), (_wires(big), _wires(big)))
+
+
+def test_zero_factor_is_not_evaluated(monkeypatch):
+    # a 0-dimensional product denotes the 0x0 matrix however large the
+    # other factor is, so that factor is never built
+    _bounded_prims(monkeypatch)
+    big = Ann(Prim("id"), _wires(30), _wires(30))
+    for term in (ProdC(big, Ann(Prim("id"), ZERO_T, ZERO_T)),
+                 ProdC(Ann(Prim("id"), ZERO_T, ZERO_T), big)):
+        m = evaluate(term)
+        assert (m.rows, m.cols) == (0, 0)
