@@ -2,8 +2,9 @@
 
 Subcommands: parse, typecheck, eval, equiv, simplify, compile, check-rules.
 Exit codes: 0 success (or "equivalent"), 1 not equivalent / rules failed,
-2 parse or type errors, input too deeply nested, or a matrix larger than
-``semantics.MAX_DIMENSION`` (diagnostics on stderr).
+2 parse or type errors, an unreadable or non-UTF-8 file, input too deeply
+nested, a matrix larger than ``semantics.MAX_DIMENSION``, or any internal
+failure (one diagnostic line on stderr).
 
 Files ending in ``.circ`` are read as circuit files and compiled; anything
 else is parsed as a term in the surface syntax.  Set SQRTPI_RULE_CATALOG to
@@ -31,8 +32,11 @@ from .semantics import evaluate, render, render_float
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise SqrtPiError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from e
 
 
 def _load_term(path: str, expand_macros: bool) -> Combinator:
@@ -207,6 +211,10 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
+        return 2
+    except Exception as e:  # an internal failure is a diagnostic, never a verdict
+        print(f"error: internal error: {type(e).__name__}: {e}".splitlines()[0],
+              file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,8 @@ flat (``lang.Seq``), and type annotations are transparent (they are
 re-established by typechecking the rewritten term).  A rule's pattern chain
 may match a prefix window of a longer chain; the unmatched tail is kept.
 Every applied step is checked to preserve the term's type, so traces are
-well-typed throughout.
+well-typed throughout.  ``simplify`` tries at each position only the rules
+whose LHS has the position's head (``RuleIndex``).
 
 Paths address subterms as if chains were right-nested, ``a ; (b ; c)``: in
 a chain of n parts, k ``1``s then ``0`` address part k, k ``1``s ending a path
@@ -22,9 +23,12 @@ sound.  Termination of ``simplify`` is by budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .lang import (
+    _DUAL,
     Ann,
     Combinator,
     MetaVar,
@@ -64,7 +68,10 @@ def _children(t: Combinator) -> tuple[Combinator, ...]:
 
 
 def _window(node: Combinator, k: int) -> Combinator:
-    return seq(*node.parts[k:]) if k else node
+    if not k:
+        return node
+    rest = node.parts[k:]  # parts of a flat chain, so no splicing is needed
+    return Seq(rest) if len(rest) > 1 else rest[0]
 
 
 def _walk(t: Combinator, path: Sequence[int]):
@@ -230,10 +237,34 @@ class SideCondition:
             return False
 
 
-def _is_syntactic_inverse(a: Combinator, c: Combinator) -> bool:
-    from .lang import invert
+def _chain_parts(c: Combinator, reverse: bool = False) -> Iterator[Combinator]:
+    """The parts of ``strip_ann(c)`` read as a chain (c itself when it is not
+    one), front to back or back to front; the parts keep their inner
+    annotations."""
+    while isinstance(c, Ann):
+        c = c.term
+    if isinstance(c, Seq):
+        for p in reversed(c.parts) if reverse else c.parts:
+            yield from _chain_parts(p, reverse)
+    else:
+        yield c
 
-    return strip_ann(invert(a)) == strip_ann(c)
+
+def _is_syntactic_inverse(a: Combinator, c: Combinator) -> bool:
+    """``strip_ann(invert(a)) == strip_ann(c)``, decided part by part without
+    building either side, so a mismatch near the front costs O(1)."""
+    for x, y in zip_longest(_chain_parts(a, reverse=True), _chain_parts(c)):
+        if isinstance(x, Prim):
+            if not (isinstance(y, Prim) and y.name == _DUAL[x.name]):
+                return False
+        elif isinstance(x, (SumC, ProdC)):
+            if not (type(y) is type(x)
+                    and _is_syntactic_inverse(x.left, y.left)
+                    and _is_syntactic_inverse(x.right, y.right)):
+                return False
+        elif x != y:  # a metavariable is its own inverse; None past an end
+            return False
+    return True
 
 
 def _is_involutive(f: Combinator) -> bool:
@@ -266,6 +297,61 @@ class RewriteRule:
     side: Optional[SideCondition] = None
     checks: tuple[tuple[Combinator, Combinator], ...] = ()
     qubits: Optional[int] = None
+
+
+# --- rule dispatch ------------------------------------------------------------
+
+
+def _head(t: Combinator):
+    """The outermost constructor under any annotations: a primitive's name,
+    the node class otherwise, None for a metavariable (matches anything)."""
+    while isinstance(t, Ann):
+        t = t.term
+    if isinstance(t, Prim):
+        return t.name
+    return None if isinstance(t, MetaVar) else type(t)
+
+
+def _key(t: Combinator, k: int = 0):
+    """Dispatch key of the position (t, k), or of a rule's LHS: its head, and
+    for a chain ``(Seq, head of part k)``."""
+    while isinstance(t, Ann):
+        t = t.term
+    return (Seq, _head(t.parts[k])) if isinstance(t, Seq) else _head(t)
+
+
+_CHAIN_WILD = (Seq, None)
+
+
+class RuleIndex:
+    """Rules bucketed by the key of their LHS, so a position is tried only
+    against the rules that can match it.
+
+    A pattern matches only where its key equals the position's: ``_match``
+    compares heads through annotations, and a pattern chain always matches
+    its first part against part k of the window.  The exceptions are the
+    wildcards: a chain whose first part is a metavariable can match any
+    chain window, and a bare metavariable any position.  Each bucket holds
+    its wildcards too, in the order of the rule list.
+    """
+
+    def __init__(self, rules: Sequence[RewriteRule]):
+        keyed = [(_key(r.lhs), r) for r in rules]
+
+        def bucket(key) -> tuple[RewriteRule, ...]:
+            wild = (None, _CHAIN_WILD) if isinstance(key, tuple) else (None,)
+            return tuple(r for rk, r in keyed if rk == key or rk in wild)
+
+        keys = {key for key, _ in keyed} | {None, _CHAIN_WILD}
+        self._buckets = {key: bucket(key) for key in keys}
+
+    def candidates(self, node: Combinator, k: int) -> tuple[RewriteRule, ...]:
+        """The rules that may rewrite the position (node, k), in rule order."""
+        key = _key(node, k)
+        found = self._buckets.get(key)
+        if found is None:
+            found = self._buckets[_CHAIN_WILD if isinstance(key, tuple) else None]
+        return found
 
 
 # --- rule application ---------------------------------------------------------
@@ -386,19 +472,18 @@ def simplify(
     step budget bounds the run.  Every step is recorded; the endpoints agree
     up to the trace's omega power.
     """
-    decreasing = [r for r in rule_db() if r.oriented and not r.normalizing]
-    normalizing = [r for r in rule_db() if r.oriented and r.normalizing]
+    decreasing, normalizing = _simplify_rules()
     t = term
     typed = typecheck(t, expected)
     ty = (typed.src, typed.tgt)
     steps: list[RewriteStep] = []
     seen = {strip_ann(t)}
 
-    def try_rules(group, require_smaller: bool):
+    def try_rules(index: RuleIndex, require_smaller: bool):
         nonlocal t
         size_now = term_size(t)
         for path, node, k in iter_paths(t):
-            for rule in group:
+            for rule in index.candidates(node, k):
                 new_node = _rewrite_node(node, k, rule.lhs, rule.rhs, rule.side)
                 if new_node is None:
                     continue
@@ -501,6 +586,15 @@ def rule_db() -> tuple[RewriteRule, ...]:
     from .rules import build_rules
 
     return build_rules()
+
+
+@lru_cache(maxsize=None)
+def _simplify_rules() -> tuple[RuleIndex, RuleIndex]:
+    """The catalog's size-decreasing and normalizing oriented rules, indexed
+    once per process (the catalog is built once too)."""
+    oriented = [r for r in rule_db() if r.oriented]
+    return (RuleIndex([r for r in oriented if not r.normalizing]),
+            RuleIndex([r for r in oriented if r.normalizing]))
 
 
 def rules_by_name() -> dict[str, RewriteRule]:

@@ -66,7 +66,7 @@ from .lang import (
     invert,
     seq,
 )
-from .rewrite import INVERSE_PAIR, INVOLUTIVE, RewriteRule, subst
+from .rewrite import INVERSE_PAIR, INVOLUTIVE, RewriteRule, SideCondition, subst
 
 _ID1 = identity_at(ONE_T)
 _ID2 = identity_at(BOOL)
@@ -396,7 +396,10 @@ def _build_level2(rules: list[RewriteRule]) -> None:
     rules.append(_rule("rinv◎ l".replace(" ", ""), "level2",
                        seq(_m("ci"), _m("c")), Prim("id"),
                        oriented=True,
-                       side=_flip_inverse_pair(),
+                       # the relation is symmetric, so it may be checked from
+                       # ci, as the text catalog's `side inverse_pair ci c` does
+                       side=SideCondition("inverse_pair", ("ci", "c"),
+                                          INVERSE_PAIR.fn),
                        checks=[(seq(vi, v), _ID2), (seq(wi, w), _ID1)]))
     rules.append(_rule("bifunct⊕", "level2",
                        seq(SumC(a, b), SumC(c3, _m("d"))),
@@ -417,14 +420,6 @@ def _build_level2(rules: list[RewriteRule]) -> None:
                        seq(Prim("assocl+"), SumC(SumC(a, b), c3)),
                        seq(SumC(a, SumC(b, c3)), Prim("assocl+")),
                        insts=[{"a": w, "b": wi, "c3": v}]))
-
-
-def _flip_inverse_pair():
-    from .rewrite import SideCondition
-    from .lang import invert as _inv, strip_ann as _strip
-
-    return SideCondition("inverse_pair", ("ci", "c"),
-                         lambda ci, c: _strip(_inv(c)) == _strip(ci))
 
 
 def _build_coherence(rules: list[RewriteRule]) -> None:

@@ -380,31 +380,31 @@ def render(m: ExactMatrix, unicode_ok: bool = True) -> str:
     """Text display over a common 2^k * sqrt(2)^m denominator."""
     if m.rows == 0 or m.cols == 0:
         return f"({m.rows}x{m.cols} matrix)"
-    entries = m.entries
-    k = max(max(d.k for d in e.c) for e in entries)
+    # only the nonzero entries are scaled: a zero stays 0 at any denominator
+    nonzero = {(i, j): e for j, col in enumerate(m.columns) for i, e in col}
+    k = max((d.k for e in nonzero.values() for d in e.c), default=0)
     # bring every entry to the common 2^k denominator
-    scaled = []
-    for e in entries:
+    scaled = {}
+    for pos, e in nonzero.items():
         ns, ke = e.common_denominator()
         shift = k - ke
-        scaled.append(DyadicCyclotomic.from_coeffs(tuple(n << shift for n in ns), 0))
+        scaled[pos] = DyadicCyclotomic.from_coeffs(tuple(n << shift for n in ns), 0)
     half_steps = 2 * k
     sqrt2 = DyadicCyclotomic.from_coeffs((0, 1, 0, -1))
     while half_steps > 0:
-        nxt = []
-        ok = True
-        for e in scaled:
-            f = e * sqrt2
-            ns, kf = f.common_denominator()
+        nxt = {}
+        for pos, e in scaled.items():
+            ns, kf = (e * sqrt2).common_denominator()
             if kf > 0 or any(n % 2 for n in ns):
-                ok = False
                 break
-            nxt.append(DyadicCyclotomic.from_coeffs(tuple(n // 2 for n in ns), 0))
-        if not ok:
+            nxt[pos] = DyadicCyclotomic.from_coeffs(tuple(n // 2 for n in ns), 0)
+        if len(nxt) < len(scaled):
             break
         scaled = nxt
         half_steps -= 1
-    cells = [[str(scaled[i * m.cols + j]) for j in range(m.cols)] for i in range(m.rows)]
+    zero = str(ZERO)
+    cells = [[str(scaled[i, j]) if (i, j) in scaled else zero for j in range(m.cols)]
+             for i in range(m.rows)]
     widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
     lines = [
         "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(m.cols)) + " ]"

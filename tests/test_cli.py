@@ -236,6 +236,59 @@ def test_recursion_error_is_a_diagnostic(capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+NOT_UTF8 = b"\xff\xfe v ; v\n"
+
+
+def _assert_one_line_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_non_utf8_eval_is_a_diagnostic(capsys, tmp_path):
+    bad = tmp_path / "bad.term"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "eval", str(bad))
+    _assert_one_line_error(code, out, err)
+    assert "bad.term: not UTF-8" in err
+
+
+def test_non_utf8_equiv_is_not_a_verdict(capsys, tmp_path):
+    bad = tmp_path / "bad.circ"
+    bad.write_bytes(NOT_UTF8)
+    for argv in ((f"{FILES}/h.term", str(bad)), (str(bad), f"{FILES}/h.term")):
+        code, out, err = run(capsys, "equiv", *argv)
+        _assert_one_line_error(code, out, err)
+        assert "bad.circ: not UTF-8" in err
+
+
+def test_non_utf8_rule_catalog_is_a_diagnostic(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.rules"
+    bad.write_bytes(NOT_UTF8)
+    monkeypatch.setenv("SQRTPI_RULE_CATALOG", str(bad))
+    code, out, err = run(capsys, "check-rules")
+    _assert_one_line_error(code, out, err)
+    assert "bad.rules: not UTF-8" in err
+
+
+def test_internal_failure_is_a_diagnostic(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("line one\nline two")
+
+    monkeypatch.setattr("sqrtpi.cli.check_equiv", broken)
+    code, out, err = run(capsys, "equiv", f"{FILES}/h.term", f"{FILES}/h.term")
+    _assert_one_line_error(code, out, err)
+    assert "internal error: KeyError" in err
+
+
+def test_interrupt_is_not_a_diagnostic(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("sqrtpi.cli.typecheck", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["typecheck", f"{FILES}/h.term"])
+
+
 # gate name -> arity for the seeded circuits whose eval output is pinned
 EVAL_GATES = {"h": 1, "t": 1, "s": 1, "x": 1, "z": 1, "v": 1,
               "cx": 2, "cz": 2, "swap": 2, "ccx": 3}
