@@ -6,7 +6,7 @@ decide circuit equivalence exactly; and apply a semantically validated
 equational rule catalog as a rewrite system.
 """
 
-from .exactnum import Dyadic, DyadicCyclotomic, omega_pow
+from .exactnum import DyadicCyclotomic, omega_pow
 from .lang import (
     BOOL,
     ONE_T,

@@ -111,13 +111,19 @@ def _group_prefix(k: int, n: int) -> Combinator:
     )
 
 
+@lru_cache(maxsize=None)
+def _group_prefix_inverse(k: int, n: int) -> Combinator:
+    return invert(_group_prefix(k, n))
+
+
 def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> Combinator:
     """Apply a k-qubit gate term to the named wires of an n-wire circuit.
 
     The gate term must have type wire_type(k) <-> wire_type(k).  Wires are
     bubbled into slots 0..k-1 (in the given order) by adjacent SWAPs, the
     gate is tensored with the identity on the rest, and the SWAP network is
-    undone.
+    undone.  Each adjacent SWAP is its own inverse, so the network is undone
+    by the same cached pieces in reverse order, and a circuit shares them.
     """
     wires = tuple(wires)
     k = len(wires)
@@ -135,23 +141,27 @@ def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> 
         core = seq(
             _group_prefix(k, n),
             ProdC(gate_term, identity_at(wire_type(n - k))),
-            invert(_group_prefix(k, n)),
+            _group_prefix_inverse(k, n),
         )
 
-    # bubble wire wires[i] into slot i, recording adjacent transpositions
+    t = wire_type(n)
+    network = _swap_network(wires, n)
+    if not network:
+        return Ann(core, t, t)
+    return Ann(seq(*network, core, *reversed(network)), t, t)
+
+
+def _swap_network(wires: tuple[int, ...], n: int) -> list[Combinator]:
+    """The cached adjacent SWAPs, in order, that bubble wire wires[i] into
+    slot i of an n-wire tensor."""
     slots = list(range(n))
-    swaps: list[int] = []
+    network = []
     for i, w in enumerate(wires):
         p = slots.index(w)
         for q in range(p, i, -1):
-            swaps.append(q - 1)
+            network.append(_adjacent_swap(q - 1, n))
             slots[q - 1], slots[q] = slots[q], slots[q - 1]
-
-    t = wire_type(n)
-    if not swaps:
-        return Ann(core, t, t)
-    network = seq(*[_adjacent_swap(j, n) for j in swaps])
-    return Ann(seq(network, core, invert(network)), t, t)
+    return network
 
 
 def compile_circuit(circuit: Circuit) -> Combinator:

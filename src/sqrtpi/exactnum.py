@@ -1,9 +1,9 @@
 """Exact arithmetic in the ring Z[1/2, w], where w is a primitive 8th root
 of unity (w^4 = -1).
 
-Every matrix entry produced by the evaluator lives in this ring.  Elements
-are kept in the normal form c0 + c1*w + c2*w^2 + c3*w^3 with dyadic-rational
-coefficients, so equality is structural and exact.  Useful identities:
+Every matrix entry produced by the evaluator lives in this ring.  An element
+is four integers over one power of two, (n0 + n1*w + n2*w^2 + n3*w^3) / 2^k,
+reduced so that equality is structural and exact.  Useful identities:
 
     w^2 = i        w^4 = -1        w + w^7 = w - w^3 = sqrt(2)
 
@@ -17,141 +17,70 @@ import cmath
 import math
 
 
-def _ntz(n: int) -> int:
-    """Number of trailing zero bits of a nonzero integer."""
-    return (n & -n).bit_length() - 1
-
-
-class Dyadic:
-    """A dyadic rational num / 2**k, normalized so k == 0 or num is odd.
-
-    Zero is uniquely (0, 0).  Negative ``k`` arguments are folded into the
-    numerator.  Instances are immutable and hashable.
-    """
-
-    __slots__ = ("num", "k")
-
-    def __init__(self, num: int, k: int = 0) -> None:
-        if num == 0:
-            object.__setattr__(self, "num", 0)
-            object.__setattr__(self, "k", 0)
-            return
-        if k < 0:
-            num <<= -k
-            k = 0
-        t = _ntz(num)
-        if t > k:
-            t = k
-        object.__setattr__(self, "num", num >> t)
-        object.__setattr__(self, "k", k - t)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Dyadic is immutable")
-
-    def __repr__(self) -> str:
-        return f"Dyadic({self.num}, {self.k})"
-
-    def __str__(self) -> str:
-        if self.k == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.k}"
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.k == 0 and self.num == other
-        if isinstance(other, Dyadic):
-            return self.num == other.num and self.k == other.k
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.k))
-
-    def __neg__(self) -> Dyadic:
-        return Dyadic(-self.num, self.k)
-
-    def __add__(self, other: Dyadic) -> Dyadic:
-        if self.num == 0:
-            return other
-        if other.num == 0:
-            return self
-        k = max(self.k, other.k)
-        return Dyadic((self.num << (k - self.k)) + (other.num << (k - other.k)), k)
-
-    def __sub__(self, other: Dyadic) -> Dyadic:
-        return self + (-other)
-
-    def __mul__(self, other: Dyadic) -> Dyadic:
-        # odd * odd stays odd, so no renormalization loop is needed
-        if self.num == 0 or other.num == 0:
-            return _D_ZERO
-        return Dyadic(self.num * other.num, self.k + other.k)
-
-    def to_float(self) -> float:
-        return self.num / (1 << self.k)
-
-
-_D_ZERO = Dyadic(0)
-_D_ONE = Dyadic(1)
-
-
 class DyadicCyclotomic:
-    """An element c0 + c1*w + c2*w^2 + c3*w^3 of Z[1/2, w].
+    """The element (n0 + n1*w + n2*w^2 + n3*w^3) / 2**k of Z[1/2, w].
 
-    The basis {1, w, w^2, w^3} is free over the dyadics, so two elements are
-    equal iff their coefficient tuples are.  All operations reduce powers of
-    w with w^4 = -1.
+    The basis {1, w, w^2, w^3} is free, so the form is canonical once it is
+    reduced: k == 0 or some n_i is odd, and zero is ((0, 0, 0, 0), 0).  Build
+    elements with :meth:`from_coeffs`.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("c",)
-
-    def __init__(self, c0: Dyadic, c1: Dyadic, c2: Dyadic, c3: Dyadic) -> None:
-        object.__setattr__(self, "c", (c0, c1, c2, c3))
+    __slots__ = ("n", "k")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DyadicCyclotomic is immutable")
 
     @classmethod
-    def from_int(cls, n: int) -> DyadicCyclotomic:
-        return cls(Dyadic(n), _D_ZERO, _D_ZERO, _D_ZERO)
-
-    @classmethod
-    def from_dyadic(cls, d: Dyadic) -> DyadicCyclotomic:
-        return cls(d, _D_ZERO, _D_ZERO, _D_ZERO)
-
-    @classmethod
     def from_coeffs(cls, nums: tuple[int, int, int, int], k: int = 0) -> DyadicCyclotomic:
-        """Element (n0 + n1*w + n2*w^2 + n3*w^3) / 2**k."""
-        return cls(*(Dyadic(n, k) for n in nums))
+        """Element (n0 + n1*w + n2*w^2 + n3*w^3) / 2**k, for any integer k."""
+        n0, n1, n2, n3 = nums
+        if k < 0:
+            n0, n1, n2, n3, k = n0 << -k, n1 << -k, n2 << -k, n3 << -k, 0
+        elif k:
+            low = n0 | n1 | n2 | n3
+            if not low:
+                k = 0
+            else:
+                # the smallest trailing-zero count of the n_i, at most k
+                t = min((low & -low).bit_length() - 1, k)
+                n0, n1, n2, n3, k = n0 >> t, n1 >> t, n2 >> t, n3 >> t, k - t
+        return _new((n0, n1, n2, n3), k)
+
+    @classmethod
+    def from_int(cls, n: int) -> DyadicCyclotomic:
+        return cls.from_coeffs((n, 0, 0, 0))
 
     def __repr__(self) -> str:
-        return f"DyadicCyclotomic{self.c!r}"
+        return f"DyadicCyclotomic.from_coeffs({self.n!r}, {self.k})"
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self.n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self == DyadicCyclotomic.from_int(other)
+            return self.k == 0 and self.n == (other, 0, 0, 0)
         if isinstance(other, DyadicCyclotomic):
-            return self.c == other.c
+            return self.k == other.k and self.n == other.n
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        return hash((self.n, self.k))
 
     def __neg__(self) -> DyadicCyclotomic:
-        return DyadicCyclotomic(*(-x for x in self.c))
+        return _new(tuple(-x for x in self.n), self.k)
 
     def __add__(self, other: DyadicCyclotomic) -> DyadicCyclotomic:
-        a, b = self.c, other.c
-        return DyadicCyclotomic(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        k = max(self.k, other.k)
+        sa, sb = k - self.k, k - other.k  # bring both to the larger exponent
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.n, other.n
+        return DyadicCyclotomic.from_coeffs(
+            ((a0 << sa) + (b0 << sb), (a1 << sa) + (b1 << sb),
+             (a2 << sa) + (b2 << sb), (a3 << sa) + (b3 << sb)),
+            k,
+        )
 
     def __sub__(self, other: DyadicCyclotomic) -> DyadicCyclotomic:
-        a, b = self.c, other.c
-        return DyadicCyclotomic(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+        return self + -other
 
     def __mul__(self, other: DyadicCyclotomic) -> DyadicCyclotomic:
         # most entries of a denotation are ONE (they come from permutations)
@@ -159,78 +88,82 @@ class DyadicCyclotomic:
             return other
         if other is ONE:
             return self
-        a, b = self.c, other.c
-        out = [_D_ZERO, _D_ZERO, _D_ZERO, _D_ZERO]
-        for i in range(4):
-            x = a[i]
-            if not x:
-                continue
-            for j in range(4):
-                y = b[j]
-                if not y:
-                    continue
-                m = i + j
-                if m >= 4:
-                    out[m - 4] = out[m - 4] - x * y
-                else:
-                    out[m] = out[m] + x * y
-        return DyadicCyclotomic(*out)
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        # the negacyclic product: w^4 = -1
+        return DyadicCyclotomic.from_coeffs(
+            (
+                a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            ),
+            self.k + other.k,
+        )
 
     def times_omega_pow(self, n: int) -> DyadicCyclotomic:
-        """Multiply by w**n (cheap coefficient rotation)."""
+        """Multiply by w**n: rotate the coefficients, negating those that wrap."""
         n %= 8
         if n == 0:
             return self
-        out = [_D_ZERO, _D_ZERO, _D_ZERO, _D_ZERO]
-        for i, x in enumerate(self.c):
-            if not x:
-                continue
-            m = i + n
-            if m >= 8:
-                m -= 8
-            if m >= 4:
-                out[m - 4] = -x
-            else:
-                out[m] = x
-        return DyadicCyclotomic(*out)
+        c = self.n
+        if n >= 4:
+            c, n = tuple(-x for x in c), n - 4
+        return _new(tuple(-x for x in c[4 - n:]) + c[:4 - n], self.k)
 
     def conjugate(self) -> DyadicCyclotomic:
         """Complex conjugation, w -> w^7 = -w^3."""
-        c = self.c
-        return DyadicCyclotomic(c[0], -c[3], -c[2], -c[1])
+        n0, n1, n2, n3 = self.n
+        return _new((n0, -n3, -n2, -n1), self.k)
 
     def to_complex(self) -> complex:
         """Float approximation, for display only."""
         z = 0j
-        for i, x in enumerate(self.c):
+        for i, x in enumerate(self.n):
             if x:
-                z += x.to_float() * cmath.exp(1j * math.pi * i / 4)
+                z += x / (1 << self.k) * cmath.exp(1j * math.pi * i / 4)
         return z
 
     def to_json(self) -> dict:
-        return {"c": [n for d in self.c for n in (d.num, d.k)]}
+        """Each coefficient as a reduced ``num, log2-denominator`` pair."""
+        out = []
+        for x in self.n:
+            t = min((x & -x).bit_length() - 1, self.k) if x else self.k
+            out += [x >> t, self.k - t]
+        return {"c": out}
 
     @classmethod
     def from_json(cls, data: dict) -> DyadicCyclotomic:
+        """Inverse of ``to_json``; pairs need not be reduced, and a negative
+        log-denominator multiplies."""
         v = data["c"]
         if len(v) != 8:
             raise ValueError("expected 8 numerator/log-denominator values")
-        return cls(*(Dyadic(v[2 * i], v[2 * i + 1]) for i in range(4)))
-
-    def common_denominator(self) -> tuple[tuple[int, int, int, int], int]:
-        """Integer numerators over the smallest common 2**k denominator."""
-        k = max(d.k for d in self.c)
-        return tuple(d.num << (k - d.k) for d in self.c), k
+        pairs = [(v[2 * i], v[2 * i + 1]) for i in range(4)]
+        k = max([0] + [e for x, e in pairs if x])
+        return cls.from_coeffs(tuple(x << (k - e) if x else 0 for x, e in pairs), k)
 
     def __str__(self) -> str:
-        nums, k = self.common_denominator()
-        poly = _poly_str(nums)
-        if k == 0:
+        poly = _poly_str(self.n)
+        if self.k == 0:
             return poly
-        if sum(1 for n in nums if n) > 1:
-            return f"({poly})/{1 << k}"
-        return f"{poly}/{1 << k}"
+        if sum(1 for x in self.n if x) > 1:
+            return f"({poly})/{1 << self.k}"
+        return f"{poly}/{1 << self.k}"
 
+
+# the slot setters bypass __setattr__, which keeps elements immutable
+_set_n = DyadicCyclotomic.n.__set__
+_set_k = DyadicCyclotomic.k.__set__
+
+
+def _new(n: tuple[int, int, int, int], k: int) -> DyadicCyclotomic:
+    """An element from a form that is already reduced; negating and
+    permuting the n_i (``-``, ``conjugate``, ``times_omega_pow``) keeps it so."""
+    e = object.__new__(DyadicCyclotomic)
+    _set_n(e, n)
+    _set_k(e, k)
+    return e
 
 _POWERS = ("", "w", "w^2", "w^3")
 
@@ -257,10 +190,10 @@ def _poly_str(nums: tuple[int, int, int, int]) -> str:
 
 ZERO = DyadicCyclotomic.from_int(0)
 ONE = DyadicCyclotomic.from_int(1)
-OMEGA = DyadicCyclotomic(_D_ZERO, _D_ONE, _D_ZERO, _D_ZERO)
+OMEGA = DyadicCyclotomic.from_coeffs((0, 1, 0, 0))
 IMAG = OMEGA * OMEGA
 SQRT2 = DyadicCyclotomic.from_coeffs((0, 1, 0, -1))  # w + w^7
-HALF = DyadicCyclotomic.from_dyadic(Dyadic(1, 1))
+HALF = DyadicCyclotomic.from_coeffs((1, 0, 0, 0), 1)
 INV_SQRT2 = SQRT2 * HALF
 
 _OMEGA_POWERS = tuple(ONE.times_omega_pow(n) for n in range(8))

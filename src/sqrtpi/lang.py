@@ -28,8 +28,8 @@ macro expansion is requested.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,6 @@ def type_str(t: ValueType, level: int = 0) -> str:
 @dataclass(frozen=True)
 class Prim:
     name: str
-    loc: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,12 @@ class Seq:
 class SumC:
     left: "Combinator"
     right: "Combinator"
-    loc: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ProdC:
     left: "Combinator"
     right: "Combinator"
-    loc: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ class Ann:
     term: "Combinator"
     src: ValueType
     tgt: ValueType
-    loc: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,6 @@ class MetaVar:
     """Pattern hole; only valid inside rewrite-rule patterns."""
 
     name: str
-    loc: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
 
 
 Combinator = Union[Prim, Seq, SumC, ProdC, Ann, MetaVar]
@@ -234,7 +229,7 @@ def invert(c: Combinator) -> Combinator:
 
 
 def pretty(c: Combinator, level: int = 0) -> str:
-    """Render a combinator; reparses to an equal AST (locations aside).
+    """Render a combinator; reparses to an equal AST.
 
     Levels: 0 seq, 1 sum, 2 prod, 3 atom.
     """
@@ -310,50 +305,44 @@ _TOKEN_RE = re.compile(
       | (?P<num>\d+)
       | (?P<meta>\?[A-Za-z][A-Za-z0-9_]*)
       | (?P<sym>[;+*():,=])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the input; line and column are computed on error
+
+
+def _parse_error(text: str, pos: int, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(msg, line, pos - text.rfind("\n", 0, pos), expected)
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        raw = m.group()
-        if kind not in ("ws", "comment"):
-            k = "name" if kind == "compound" else kind
-            toks.append(_Tok(k, raw, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):  # every character matches some group
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _parse_error(text, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "ws" and kind != "comment":
+            toks.append(_Tok("name" if kind == "compound" else kind, m.group(), m.start()))
+    toks.append(_Tok("eof", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(
         self,
-        toks: list[_Tok],
-        macros: Optional[dict[str, Combinator]],
-        allow_metavars: bool,
+        text: str,
+        macros: Optional[dict[str, Combinator]] = None,
+        allow_metavars: bool = False,
     ):
-        self.toks = toks
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.macros = macros
         self.allow_metavars = allow_metavars
@@ -368,21 +357,28 @@ class _Parser:
         self.pos += 1
         return t
 
+    def _error(self, msg: str, t: Optional[_Tok] = None,
+               expected: tuple[str, ...] = ()) -> ParseError:
+        return _parse_error(self.text, (self.cur if t is None else t).pos, msg, expected)
+
+    def _unexpected(self, expected: tuple[str, ...], where: str = "") -> ParseError:
+        t = self.cur
+        msg = "unexpected end of input" if t.kind == "eof" else f"unexpected {t.text!r}{where}"
+        return self._error(msg, expected=expected)
+
     def _expect(self, text: str) -> _Tok:
         if self.cur.text != text:
-            raise ParseError(
-                f"unexpected {self.cur.text!r}" if self.cur.kind != "eof" else "unexpected end of input",
-                self.cur.line,
-                self.cur.col,
-                expected=(repr(text),),
-            )
+            raise self._unexpected((repr(text),))
         return self._advance()
+
+    def _end(self) -> None:
+        if self.cur.kind != "eof":
+            raise self._error(f"trailing input {self.cur.text!r}")
 
     def _nested(self, parse):
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             self.cur.line, self.cur.col)
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
         out = parse()
         self.depth -= 1
         return out
@@ -409,15 +405,15 @@ class _Parser:
     def sum(self) -> Combinator:
         left = self.prod()
         if self.cur.text == "+":
-            tok = self._advance()
-            return SumC(left, self._nested(self.sum), loc=(tok.line, tok.col))
+            self._advance()
+            return SumC(left, self._nested(self.sum))
         return left
 
     def prod(self) -> Combinator:
         left = self.atom()
         if self.cur.text == "*":
-            tok = self._advance()
-            return ProdC(left, self._nested(self.prod), loc=(tok.line, tok.col))
+            self._advance()
+            return ProdC(left, self._nested(self.prod))
         return left
 
     def atom(self) -> Combinator:
@@ -429,25 +425,20 @@ class _Parser:
             return inner
         if t.kind == "meta":
             if not self.allow_metavars:
-                raise ParseError("pattern variable outside a pattern", t.line, t.col)
+                raise self._error("pattern variable outside a pattern")
             self._advance()
-            return MetaVar(t.text[1:], loc=(t.line, t.col))
+            return MetaVar(t.text[1:])
         if t.kind == "name":
             self._advance()
             if t.text in SCHEMES:
-                return Prim(t.text, loc=(t.line, t.col))
+                return Prim(t.text)
             if self.macros is not None and t.text in self.macros:
                 return self.macros[t.text]
             hint = ("a primitive or gate name",) if self.macros is not None else (
                 "a primitive name (pass expand_macros=True for gate names)",
             )
-            raise ParseError(f"unknown name {t.text!r}", t.line, t.col, expected=hint)
-        raise ParseError(
-            f"unexpected {t.text!r}" if t.kind != "eof" else "unexpected end of input",
-            t.line,
-            t.col,
-            expected=("name", "'('", "'?var'"),
-        )
+            raise self._error(f"unknown name {t.text!r}", t, hint)
+        raise self._unexpected(("name", "'('", "'?var'"))
 
     # types
 
@@ -480,14 +471,8 @@ class _Parser:
                 return ONE_T
             if t.text == "2":
                 return BOOL
-            raise ParseError(f"unknown type literal {t.text!r}", t.line, t.col,
-                             expected=("0", "1", "2"))
-        raise ParseError(
-            f"unexpected {t.text!r} in type" if t.kind != "eof" else "unexpected end of input",
-            t.line,
-            t.col,
-            expected=("0", "1", "2", "'('"),
-        )
+            raise self._error(f"unknown type literal {t.text!r}", t, ("0", "1", "2"))
+        raise self._unexpected(("0", "1", "2", "'('"), " in type")
 
 
 def parse(
@@ -501,29 +486,26 @@ def parse(
         from . import gates  # late import; gates builds terms via this module
 
         macros = gates.macro_table()
-    p = _Parser(_tokenize(text), macros, allow_metavars)
+    p = _Parser(text, macros, allow_metavars)
     t = p.term()
-    if p.cur.kind != "eof":
-        raise ParseError(f"trailing input {p.cur.text!r}", p.cur.line, p.cur.col)
+    p._end()
     return t
 
 
 def parse_type(text: str) -> ValueType:
-    p = _Parser(_tokenize(text), None, False)
+    p = _Parser(text)
     t = p.type_()
-    if p.cur.kind != "eof":
-        raise ParseError(f"trailing input {p.cur.text!r}", p.cur.line, p.cur.col)
+    p._end()
     return t
 
 
 def parse_type_pair(text: str) -> tuple[ValueType, ValueType]:
     """Parse ``type <-> type``."""
-    p = _Parser(_tokenize(text), None, False)
+    p = _Parser(text)
     src = p.type_()
     p._expect("<->")
     tgt = p.type_()
-    if p.cur.kind != "eof":
-        raise ParseError(f"trailing input {p.cur.text!r}", p.cur.line, p.cur.col)
+    p._end()
     return src, tgt
 
 

@@ -94,11 +94,6 @@ def _walk(t: Combinator, path: Sequence[int]):
     return trail, node, k
 
 
-def subterm(t: Combinator, path: Sequence[int]) -> Combinator:
-    _, node, k = _walk(t, path)
-    return _window(node, k)
-
-
 def replace_at(t: Combinator, path: Sequence[int], new: Combinator) -> Combinator:
     trail, node, k = _walk(t, path)
     out = seq(*node.parts[:k], new) if k else new
@@ -363,14 +358,16 @@ def _rewrite_node(node: Combinator, k: int, lhs: Combinator, rhs: Combinator,
     of the window first; returns the replacement, or None on no match."""
     if isinstance(lhs, Seq) and isinstance(node, Seq):
         ps, ts = lhs.parts, node.parts
-        m = len(ps)
-        if m <= len(ts) - k:
-            b: dict = {}
-            if (all(_match(ps[i], ts[k + i], b) for i in range(m))
-                    and (side is None or side.holds(b))):
-                return seq(subst(rhs, b), *ts[k + m:])
-        # fall through to whole-window matching (covers trailing-metavar
-        # absorption, which the prefix match above does not attempt)
+        m, n = len(ps), len(ts) - k
+        if m > n:
+            return None
+        b: dict = {}
+        if (all(_match(ps[i], ts[k + i], b) for i in range(m))
+                and (side is None or side.holds(b))):
+            return seq(subst(rhs, b), *ts[k + m:])
+        if m == n:
+            return None  # the whole-window match below would repeat this one
+        # fall through: a trailing metavariable may absorb the rest of the window
     b2: dict = {}
     if not _match(lhs, node, b2, k) or (side is not None and not side.holds(b2)):
         return None

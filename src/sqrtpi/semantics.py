@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
-from .exactnum import ONE, ZERO, DyadicCyclotomic, omega_pow
+from .exactnum import INV_SQRT2, ONE, ZERO, DyadicCyclotomic, omega_pow
 from .lang import (
     Ann,
     Combinator,
@@ -382,23 +382,14 @@ def render(m: ExactMatrix, unicode_ok: bool = True) -> str:
         return f"({m.rows}x{m.cols} matrix)"
     # only the nonzero entries are scaled: a zero stays 0 at any denominator
     nonzero = {(i, j): e for j, col in enumerate(m.columns) for i, e in col}
-    k = max((d.k for e in nonzero.values() for d in e.c), default=0)
-    # bring every entry to the common 2^k denominator
-    scaled = {}
-    for pos, e in nonzero.items():
-        ns, ke = e.common_denominator()
-        shift = k - ke
-        scaled[pos] = DyadicCyclotomic.from_coeffs(tuple(n << shift for n in ns), 0)
+    k = max((e.k for e in nonzero.values()), default=0)
+    # bring every entry to the common 2^k denominator: a left shift
+    scaled = {pos: DyadicCyclotomic.from_coeffs(e.n, e.k - k) for pos, e in nonzero.items()}
+    # take factors of sqrt(2) out of the denominator while every entry stays integral
     half_steps = 2 * k
-    sqrt2 = DyadicCyclotomic.from_coeffs((0, 1, 0, -1))
-    while half_steps > 0:
-        nxt = {}
-        for pos, e in scaled.items():
-            ns, kf = (e * sqrt2).common_denominator()
-            if kf > 0 or any(n % 2 for n in ns):
-                break
-            nxt[pos] = DyadicCyclotomic.from_coeffs(tuple(n // 2 for n in ns), 0)
-        if len(nxt) < len(scaled):
+    while half_steps:
+        nxt = {pos: e * INV_SQRT2 for pos, e in scaled.items()}
+        if any(e.k for e in nxt.values()):
             break
         scaled = nxt
         half_steps -= 1

@@ -10,7 +10,7 @@ from sqrtpi.circuits import (
     wire_type,
 )
 from sqrtpi.gates import gate_macros, named_gate
-from sqrtpi.lang import BOOL, Prod, invert, typecheck
+from sqrtpi.lang import BOOL, Prod, Seq, invert, typecheck
 from sqrtpi.semantics import ExactMatrix, compose, evaluate, kronecker
 
 I2 = ExactMatrix.identity(2)
@@ -203,3 +203,29 @@ def test_place_cx_top_pair_matches_reshaping_form():
     middle = SumC(identity_at(four), Ann(Prim("swap+"), four, four))
     expr = seq(three_mat, middle, invert(three_mat))
     assert evaluate(expr) == evaluate(place(named_gate("cx"), [0, 1], 3))
+
+
+def test_swap_network_is_undone_by_its_cached_pieces():
+    # each adjacent SWAP is its own syntactic inverse, so `place` undoes the
+    # network with the same objects in reverse order
+    import itertools
+
+    from sqrtpi.circuits import _group_prefix, _group_prefix_inverse, _swap_network
+    from sqrtpi.lang import seq
+
+    gates = {1: named_gate("h"), 2: named_gate("cx"), 3: named_gate("ccx")}
+    for n in range(1, 6):
+        for k in range(1, min(3, n) + 1):
+            if k < n:
+                assert _group_prefix_inverse(k, n) == invert(_group_prefix(k, n))
+            for wires in itertools.permutations(range(n), k):
+                network = _swap_network(wires, n)
+                placed = place(gates[k], wires, n)
+                if not network:
+                    assert wires == tuple(range(k))
+                    continue
+                undo = seq(*reversed(network))
+                assert invert(seq(*network)) == undo, (wires, n)
+                undo_parts = undo.parts if isinstance(undo, Seq) else (undo,)
+                tail = placed.term.parts[-len(undo_parts):]
+                assert all(a is b for a, b in zip(tail, undo_parts)), (wires, n)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from sqrtpi.exactnum import (
     ONE,
     SQRT2,
     ZERO,
-    Dyadic,
     DyadicCyclotomic,
     omega_pow,
 )
@@ -23,20 +24,24 @@ def dc(n0, n1=0, n2=0, n3=0, k=0):
 
 
 def test_dyadic_normalization():
-    assert Dyadic(4, 2) == Dyadic(1, 0)
-    assert Dyadic(6, 1) == Dyadic(3, 0)
-    assert Dyadic(0, 5) == Dyadic(0, 0)
-    assert Dyadic(3, -2) == Dyadic(12, 0)
-    d = Dyadic(10, 3)
-    assert d.num % 2 == 1 or d.num == 0
+    assert dc(4, k=2) == dc(1)
+    assert dc(6, k=1) == dc(3)
+    assert dc(0, k=5) == ZERO
+    assert dc(3, k=-2) == dc(12)
+    d = dc(10, k=3)
+    assert d.n == (5, 0, 0, 0) and d.k == 2
+    assert ZERO.n == (0, 0, 0, 0) and ZERO.k == 0
+    assert dc(2, 4, 6, 8, k=1) == dc(1, 2, 3, 4)
+    assert dc(2, 4, 6, 8, k=3).n == (1, 2, 3, 4)
+    assert dc(1, 4, 0, 8, k=2).k == 2  # one odd coefficient keeps the denominator
 
 
 def test_dyadic_arithmetic():
-    half = Dyadic(1, 1)
-    assert half + half == Dyadic(1, 0)
-    assert half * half == Dyadic(1, 2)
-    assert half - half == Dyadic(0, 0)
-    assert str(Dyadic(3, 2)) == "3/4"
+    half = dc(1, k=1)
+    assert half + half == ONE
+    assert half * half == dc(1, k=2)
+    assert half - half == ZERO
+    assert str(dc(3, k=2)) == "3/4"
 
 
 def test_add_examples():
@@ -110,11 +115,11 @@ def test_times_conjugate_is_real(a):
 @settings(max_examples=200)
 @given(elements)
 def test_times_conjugate_gaussian_stays_gaussian(a):
-    # on the subring with c1 = c3 = 0 (the Gaussian dyadics) the norm
+    # on the subring with n1 = n3 = 0 (the Gaussian dyadics) the norm
     # stays in the subring
-    g = DyadicCyclotomic(a.c[0], Dyadic(0), a.c[2], Dyadic(0))
+    g = DyadicCyclotomic.from_coeffs((a.n[0], 0, a.n[2], 0), a.k)
     p = g * g.conjugate()
-    assert p.c[1] == Dyadic(0) and p.c[3] == Dyadic(0)
+    assert p.n[1] == 0 and p.n[3] == 0
 
 
 @settings(max_examples=100)
@@ -132,18 +137,18 @@ def test_omega_power_addition_law():
 @settings(max_examples=100)
 @given(elements)
 def test_normalization_idempotent(a):
-    # rebuilding from the stored representation is the identity
-    again = DyadicCyclotomic(*a.c)
-    assert again == a
-    nums, k = a.common_denominator()
-    assert DyadicCyclotomic.from_coeffs(nums, k) == a
+    # rebuilding from the stored representation is the identity, and the
+    # stored form is reduced
+    assert DyadicCyclotomic.from_coeffs(a.n, a.k) == a
+    assert a.k == 0 or any(x % 2 for x in a.n)
+    assert a or (a.n, a.k) == ((0, 0, 0, 0), 0)
 
 
 @settings(max_examples=100)
 @given(elements, elements)
 def test_equality_is_structural(a, b):
     if a == b:
-        assert a.c == b.c
+        assert (a.n, a.k) == (b.n, b.k)
         assert hash(a) == hash(b)
 
 
@@ -171,3 +176,146 @@ def test_to_complex_projection():
     assert abs(z - 1 / math.sqrt(2)) < 1e-12
     assert abs(OMEGA.to_complex() - cmath.exp(1j * math.pi / 4)) < 1e-12
     assert abs(IMAG.to_complex() - 1j) < 1e-12
+
+
+# --- an independent reference ring --------------------------------------------
+# An element is four Fractions (c0, c1, c2, c3) meaning sum c_i * w^i, with
+# w^4 = -1.  Nothing below reads the representation under test except
+# through its public results.
+
+_W = [cmath.exp(1j * math.pi * i / 4) for i in range(4)]
+
+
+def _ref_omega(c, n):
+    # w^i * w^n = w^((i + n) mod 8), and w^(4 + j) = -w^j
+    out = [Fraction(0)] * 4
+    for i, x in enumerate(c):
+        p = (i + n) % 8
+        if p < 4:
+            out[p] += x
+        else:
+            out[p - 4] -= x
+    return tuple(out)
+
+
+def _ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * 4
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                p = x * y
+                if i + j < 4:
+                    out[i + j] += p
+                else:
+                    out[i + j - 4] -= p
+    return tuple(out)
+
+
+def _ref_conjugate(c):
+    # w^i -> w^(8 - i)
+    out = (Fraction(0),) * 4
+    for i, x in enumerate(c):
+        out = _ref_add(out, _ref_omega((x, 0, 0, 0), 8 - i))
+    return out
+
+
+def _ref_of(nums, k):
+    scale = Fraction(1, 2 ** k) if k >= 0 else Fraction(2 ** -k)
+    return tuple(Fraction(x) * scale for x in nums)
+
+
+def _log2(d):
+    assert d & (d - 1) == 0
+    return d.bit_length() - 1
+
+
+def _ref_json(c):
+    return {"c": [v for x in c for v in (x.numerator, _log2(x.denominator))]}
+
+
+def _ref_str(c):
+    den = max(x.denominator for x in c)
+    nums = [x.numerator * (den // x.denominator) for x in c]
+    terms = []
+    for i, x in enumerate(nums):
+        if x:
+            mag = abs(x)
+            body = ["", "w", "w^2", "w^3"][i]
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            sign = ("-" if x < 0 else "") if not terms else ("- " if x < 0 else "+ ")
+            terms.append(sign + body)
+    poly = " ".join(terms) or "0"
+    if den == 1:
+        return poly
+    return f"({poly})/{den}" if len(terms) > 1 else f"{poly}/{den}"
+
+
+def _random_coeffs(rng):
+    kind = rng.random()
+    if kind < 0.1:
+        return (0, 0, 0, 0)
+    bound = rng.choice([1, 3, 16, 1 << 80])
+    nums = [rng.randint(-bound, bound) if rng.random() < 0.75 else 0 for _ in range(4)]
+    if kind < 0.4:  # many even numerators, so reduction has work to do
+        shift = rng.randint(1, 12)
+        nums = [x << shift for x in nums]
+    return tuple(nums)
+
+
+def _random_exponent(rng):
+    return rng.choice([0, 0, 1, 2, 3, rng.randint(4, 90), -1, rng.randint(-20, -2)])
+
+
+def _check(got, ref):
+    assert _ref_json(ref) == got.to_json()
+    assert str(got) == _ref_str(ref)
+    assert bool(got) == any(ref)
+    z = sum(complex(float(x)) * w for x, w in zip(ref, _W))
+    assert abs(got.to_complex() - z) <= 1e-9 * (1 + abs(z))
+    assert DyadicCyclotomic.from_json(got.to_json()) == got
+    assert got.k == 0 or any(x % 2 for x in got.n)
+
+
+def test_ring_matches_fraction_reference():
+    rng = random.Random(20240)
+    made = []
+    for _ in range(10000):
+        nums, k = _random_coeffs(rng), _random_exponent(rng)
+        if rng.random() < 0.5:
+            a, ra = DyadicCyclotomic.from_coeffs(nums, k), _ref_of(nums, k)
+        else:
+            # from_json takes unreduced pairs, each with its own exponent
+            ks = [_random_exponent(rng) for _ in range(4)]
+            a = DyadicCyclotomic.from_json({"c": [v for p in zip(nums, ks) for v in p]})
+            ra = tuple(_ref_of((x, 0, 0, 0), e)[0] for x, e in zip(nums, ks))
+        made.append((a, ra))
+        _check(a, ra)
+
+    for i in range(len(made)):
+        (a, ra) = made[i]
+        if rng.random() < 0.2:
+            # the same value written over a larger denominator
+            s = rng.randint(1, 8)
+            b = DyadicCyclotomic.from_coeffs(tuple(x << s for x in a.n), a.k + s)
+            rb = ra
+        else:
+            b, rb = made[rng.randrange(len(made))]
+        _check(a + b, _ref_add(ra, rb))
+        _check(a - b, _ref_add(ra, tuple(-x for x in rb)))
+        _check(a * b, _ref_mul(ra, rb))
+        _check(-a, tuple(-x for x in ra))
+        _check(a.conjugate(), _ref_conjugate(ra))
+        n = rng.randint(-9, 9)
+        _check(a.times_omega_pow(n), _ref_omega(ra, n))
+        assert (a == b) == (ra == rb)
+        if ra == rb:
+            assert hash(a) == hash(b)
+        m = rng.randint(-2, 2)
+        assert (a == m) == (ra == (m, 0, 0, 0))

@@ -83,6 +83,26 @@ def test_parse_error_position():
     assert e.value.expected
 
 
+def test_parse_error_position_after_comment_line():
+    with pytest.raises(ParseError) as e:
+        parse("# a comment ; (\n  v ; ) ")
+    assert (e.value.line, e.value.col) == (2, 7)
+    assert str(e.value) == "2:7: unexpected ')' (expected one of: name, '(', '?var')"
+    with pytest.raises(ParseError) as e:
+        parse("# one\n#two\nv ; @")
+    assert str(e.value) == "3:5: unexpected character '@'"
+
+
+def test_parse_error_position_at_end_of_input_on_line_3():
+    with pytest.raises(ParseError) as e:
+        parse("v ;\n  v ;\n  ")
+    assert (e.value.line, e.value.col) == (3, 3)
+    assert str(e.value) == "3:3: unexpected end of input (expected one of: name, '(', '?var')"
+    with pytest.raises(ParseError) as e:
+        parse("(v ;\n v\n")
+    assert str(e.value) == "3:1: unexpected end of input (expected one of: ')')"
+
+
 def test_parse_unknown_name():
     with pytest.raises(ParseError):
         parse("frobnicate")

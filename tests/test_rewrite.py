@@ -54,7 +54,6 @@ from sqrtpi.rewrite import (
     rule_db,
     rules_by_name,
     simplify,
-    subterm,
     term_size,
     validate_rule,
 )
