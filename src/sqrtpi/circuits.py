@@ -12,7 +12,7 @@ Circuit file format::
     name w1 [w2 [w3]]     # one gate per line, '#' comments allowed
 
 with gate names x z s sdg t tdg h k v vdg cx cz ch ct swap ccx csx csxdg
-(v is the square root of x, aka sx).
+(v is the square root of x, aka sx).  N is at most MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ from .lang import (
 
 class CircuitError(SqrtPiError):
     pass
+
+
+# Widest circuit accepted: at 98 wires every gate, on any wires, compiles to
+# a term that prints within lang.MAX_NESTING; at 99 a ccx does not.
+MAX_QUBITS = 98
+
+
+def _too_wide(n: int) -> str:
+    return f"{n} qubits exceed the limit of {MAX_QUBITS}"
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,8 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise CircuitError("a circuit needs at least one qubit")
+        if self.n_qubits > MAX_QUBITS:
+            raise CircuitError(_too_wide(self.n_qubits))
         for g in self.gates:
             g.validate(self.n_qubits)
 
@@ -116,6 +127,17 @@ def _group_prefix_inverse(k: int, n: int) -> Combinator:
     return invert(_group_prefix(k, n))
 
 
+@lru_cache(maxsize=None)
+def _padded_core(gate_term: Combinator, k: int, n: int) -> Combinator:
+    """The k-qubit gate on the first k of n wires, k < n.  Cached, so every
+    placement of a gate at one width shares the node."""
+    return seq(
+        _group_prefix(k, n),
+        ProdC(gate_term, identity_at(wire_type(n - k))),
+        _group_prefix_inverse(k, n),
+    )
+
+
 def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> Combinator:
     """Apply a k-qubit gate term to the named wires of an n-wire circuit.
 
@@ -135,15 +157,7 @@ def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> 
         if not 0 <= w < n:
             raise CircuitError(f"wire {w} out of range for {n} wire(s)")
 
-    if k == n:
-        core = gate_term
-    else:
-        core = seq(
-            _group_prefix(k, n),
-            ProdC(gate_term, identity_at(wire_type(n - k))),
-            _group_prefix_inverse(k, n),
-        )
-
+    core = gate_term if k == n else _padded_core(gate_term, k, n)
     t = wire_type(n)
     network = _swap_network(wires, n)
     if not network:
@@ -193,6 +207,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitError(f"line {lineno}: bad qubit count {parts[1]!r}") from None
             if n_qubits < 1:
                 raise CircuitError(f"line {lineno}: need at least one qubit")
+            if n_qubits > MAX_QUBITS:
+                raise CircuitError(f"line {lineno}: {_too_wide(n_qubits)}")
             continue
         name = parts[0].lower()
         try:

@@ -27,7 +27,10 @@ macro expansion is requested.
 
 from __future__ import annotations
 
+import operator
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -36,28 +39,95 @@ from typing import NamedTuple, Optional, Union
 # value types
 
 
-@dataclass(frozen=True)
 class Zero:
+    """The empty type; a singleton."""
+
+    __slots__ = ()
+    open = False  # no TVar occurs
+    dim = 0
+
+    def __new__(cls) -> "Zero":
+        return ZERO_T
+
     def __repr__(self) -> str:
         return "Zero"
 
 
-@dataclass(frozen=True)
 class One:
+    """The unit type; a singleton."""
+
+    __slots__ = ()
+    open = False
+    dim = 1
+
+    def __new__(cls) -> "One":
+        return ONE_T
+
     def __repr__(self) -> str:
         return "One"
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "ValueType"
-    right: "ValueType"
+ZERO_T = object.__new__(Zero)
+ONE_T = object.__new__(One)
+
+# Closed Sum/Prod types are hash-consed: the constructor returns the one live
+# object with the same class and children, found by the children's identities
+# (which the entry keeps alive).  Equal closed types are therefore the same
+# object.  Types with a TVar are unifier temporaries and are not interned.
+_INTERNED: "weakref.WeakValueDictionary[tuple, _Pair]" = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "ValueType"
-    right: "ValueType"
+class _Pair:
+    """Sum or Prod of two types.  ``open`` (a TVar occurs) and ``dim`` (None
+    when open) are computed once, at construction.  Closed instances are
+    shared, so no field but the cached hash is assigned after that."""
+
+    __slots__ = ("left", "right", "open", "dim", "_hash", "__weakref__")
+
+    def __new__(cls, left: "ValueType", right: "ValueType"):
+        if left.open or right.open:
+            return cls._make(left, right, True, None)
+        key = (cls, id(left), id(right))
+        t = _INTERNED.get(key)
+        if t is None:
+            with _INTERN_LOCK:
+                t = _INTERNED.get(key)
+                if t is None:
+                    t = _INTERNED[key] = cls._make(
+                        left, right, False, cls._dim(left.dim, right.dim))
+        return t
+
+    @classmethod
+    def _make(cls, left, right, is_open, dim):
+        t = object.__new__(cls)
+        t.left, t.right, t.open, t.dim, t._hash = left, right, is_open, dim, None
+        return t
+
+    def __eq__(self, other: object) -> bool:
+        # distinct closed types differ: each closed type exists once
+        return self is other or (
+            type(other) is type(self) and self.open and other.open
+            and self.left == other.left and self.right == other.right
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self.left, self.right))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
+
+
+class Sum(_Pair):
+    __slots__ = ()
+    _dim = staticmethod(operator.add)
+
+
+class Prod(_Pair):
+    __slots__ = ()
+    _dim = staticmethod(operator.mul)
 
 
 @dataclass(frozen=True)
@@ -65,30 +135,24 @@ class TVar:
     """Unification metavariable; never appears in a checked type."""
 
     id: int
+    open = True  # class attributes, not fields
+    dim = None
 
 
 ValueType = Union[Zero, One, Sum, Prod, TVar]
 
-ZERO_T = Zero()
-ONE_T = One()
 BOOL = Sum(ONE_T, ONE_T)
 
 
 def dimension(t: ValueType) -> int:
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, Sum):
-        return dimension(t.left) + dimension(t.right)
-    if isinstance(t, Prod):
-        return dimension(t.left) * dimension(t.right)
-    raise TypeError(f"dimension of open type {t!r}")
+    if t.open:
+        raise TypeError(f"dimension of open type {t!r}")
+    return t.dim
 
 
 def type_str(t: ValueType, level: int = 0) -> str:
     """Render a type; reparses to the same tree. Levels: 0 sum, 1 prod, 2 atom."""
-    if t == BOOL:
+    if t is BOOL:
         return "2"
     if isinstance(t, Zero):
         return "0"
@@ -539,26 +603,32 @@ class _Unifier:
         return t
 
     def resolve(self, t: ValueType) -> ValueType:
+        if not t.open:
+            return t
         t = self.find(t)
-        if isinstance(t, Sum):
-            return Sum(self.resolve(t.left), self.resolve(t.right))
-        if isinstance(t, Prod):
-            return Prod(self.resolve(t.left), self.resolve(t.right))
+        if isinstance(t, _Pair):
+            return type(t)(self.resolve(t.left), self.resolve(t.right))
         return t
 
     def _occurs(self, v: TVar, t: ValueType) -> bool:
+        if not t.open:
+            return False
         t = self.find(t)
         if isinstance(t, TVar):
             return t.id == v.id
-        if isinstance(t, (Sum, Prod)):
+        if isinstance(t, _Pair):
             return self._occurs(v, t.left) or self._occurs(v, t.right)
         return False
 
     def unify(self, a: ValueType, b: ValueType, node: Optional[Combinator]) -> None:
+        if a is b:
+            return
         a, b = self.find(a), self.find(b)
-        if isinstance(a, TVar) and isinstance(b, TVar) and a.id == b.id:
+        if a is b:  # Zero, One and equal closed types are each one object
             return
         if isinstance(a, TVar):
+            if isinstance(b, TVar) and a.id == b.id:
+                return
             if self._occurs(a, b):
                 raise UnificationFailure(self.resolve(a), self.resolve(b), node)
             self.subst[a.id] = b
@@ -566,26 +636,88 @@ class _Unifier:
         if isinstance(b, TVar):
             self.unify(b, a, node)
             return
-        if isinstance(a, Zero) and isinstance(b, Zero):
-            return
-        if isinstance(a, One) and isinstance(b, One):
-            return
-        if type(a) is type(b) and isinstance(a, (Sum, Prod)):
+        if type(a) is type(b) and isinstance(a, _Pair):
             self.unify(a.left, b.left, node)
             self.unify(a.right, b.right, node)
             return
         raise UnificationFailure(self.resolve(a), self.resolve(b), node)
 
     def instantiate(self, t: ValueType, mapping: dict[int, TVar]) -> ValueType:
+        if not t.open:
+            return t
         if isinstance(t, TVar):
             if t.id not in mapping:
                 mapping[t.id] = self.fresh()
             return mapping[t.id]
-        if isinstance(t, Sum):
-            return Sum(self.instantiate(t.left, mapping), self.instantiate(t.right, mapping))
-        if isinstance(t, Prod):
-            return Prod(self.instantiate(t.left, mapping), self.instantiate(t.right, mapping))
+        return type(t)(self.instantiate(t.left, mapping), self.instantiate(t.right, mapping))
+
+
+def _shift(t: ValueType, delta: int) -> ValueType:
+    """t with every variable tN renamed to t(N + delta)."""
+    if not t.open:
         return t
+    if isinstance(t, TVar):
+        return TVar(t.id + delta)
+    return type(t)(_shift(t.left, delta), _shift(t.right, delta))
+
+
+def _match(pattern: ValueType, ground: ValueType, env: dict[int, ValueType]) -> None:
+    """Bind the variables of pattern to the parts of its instance ground."""
+    if not pattern.open:
+        return
+    if isinstance(pattern, TVar):
+        env[pattern.id] = ground
+        return
+    _match(pattern.left, ground.left, env)
+    _match(pattern.right, ground.right, env)
+
+
+def _ground(t: ValueType, env: dict[int, ValueType]) -> Optional[ValueType]:
+    """t with its variables replaced through env, or None if one stays free.
+    The ground type is written back for every variable on the way, so a
+    chain of variables (one per part of a long ``id ; id ; ...``) is walked
+    once, and without recursion."""
+    if not t.open:
+        return t
+    if isinstance(t, TVar):
+        chain = []
+        while isinstance(t, TVar):
+            chain.append(t.id)
+            t = env.get(t.id)
+            if t is None:
+                return None
+        g = _ground(t, env)
+        if g is not None:
+            for v in chain:
+                env[v] = g
+        return g
+    left, right = _ground(t.left, env), _ground(t.right, env)
+    return None if left is None or right is None else type(t)(left, right)
+
+
+def _shared_nodes(c: Combinator) -> set[int]:
+    """Identities of the nodes that are a child more than once in the term DAG."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            kids = node.parts
+        elif isinstance(node, (SumC, ProdC)):
+            kids = (node.left, node.right)
+        elif isinstance(node, Ann):
+            kids = (node.term,)
+        else:
+            continue
+        for kid in kids:
+            key = id(kid)
+            if key in seen:
+                shared.add(key)
+            else:
+                seen.add(key)
+                stack.append(kid)
+    return shared
 
 
 def typecheck(
@@ -597,63 +729,123 @@ def typecheck(
     Raises UnificationFailure on a type clash and UnresolvedMetavariable if
     the term stays polymorphic after inference (supply ``expected`` or add
     annotations in that case).
+
+    A term is a DAG: macros and circuit pieces are shared objects.  Each
+    shared node is inferred once, at its first occurrence, and its principal
+    type is kept as a scheme that later occurrences instantiate, as a
+    primitive instantiates its SCHEMES row.  The fresh-variable counter
+    advances as if the node had been inferred again, so a diagnostic names
+    the same node and variables as inferring every occurrence would.  The
+    result has one Typed per (node, src, tgt).
     """
     u = _Unifier()
+    shared = _shared_nodes(c)
+    # shared node -> (counter before its inference, variables it allocated,
+    # principal src, principal tgt)
+    schemes: dict[int, tuple[int, int, ValueType, ValueType]] = {}
+    # Seq -> the types between its parts: unifier types, or for a Seq under
+    # a shared node, resolved when that node's scheme is taken
+    bounds: dict[int, list[ValueType]] = {}
+    unscoped: list[Seq] = []  # Seqs whose bounds are still unifier types
 
-    def infer(node: Combinator) -> Typed:
-        if isinstance(node, MetaVar):
-            raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
+    def infer(node: Combinator) -> tuple[ValueType, ValueType]:
         if isinstance(node, Prim):
             mapping: dict[int, TVar] = {}
             src, tgt = SCHEMES[node.name]
-            return Typed(node, u.instantiate(src, mapping), u.instantiate(tgt, mapping))
+            return u.instantiate(src, mapping), u.instantiate(tgt, mapping)
+        key = id(node)
+        if key not in shared:
+            return infer_node(node)
+        if key in schemes:
+            start, count, src, tgt = schemes[key]
+            delta = u.counter - start
+            u.counter += count
+            return _shift(src, delta), _shift(tgt, delta)
+        start, mark = u.counter, len(unscoped)
+        src, tgt = infer_node(node)
+        src, tgt = u.resolve(src), u.resolve(tgt)
+        for s in unscoped[mark:]:
+            bounds[id(s)] = [u.resolve(b) for b in bounds[id(s)]]
+        del unscoped[mark:]
+        schemes[key] = (start, u.counter - start, src, tgt)
+        return src, tgt
+
+    def infer_node(node: Combinator) -> tuple[ValueType, ValueType]:
         if isinstance(node, Ann):
-            inner = infer(node.term)
-            u.unify(inner.src, node.src, node)
-            u.unify(inner.tgt, node.tgt, node)
-            return Typed(node, node.src, node.tgt, (inner,))
+            src, tgt = infer(node.term)
+            u.unify(src, node.src, node)
+            u.unify(tgt, node.tgt, node)
+            return node.src, node.tgt
         if isinstance(node, Seq):
-            kids = tuple(infer(p) for p in node.parts)
-            for f, g in zip(kids, kids[1:]):
-                u.unify(f.tgt, g.src, node)
-            return Typed(node, kids[0].src, kids[-1].tgt, kids)
+            kids = [infer(p) for p in node.parts]
+            for (_, f_tgt), (g_src, _) in zip(kids, kids[1:]):
+                u.unify(f_tgt, g_src, node)
+            bounds[id(node)] = [tgt for _, tgt in kids[:-1]]
+            unscoped.append(node)
+            return kids[0][0], kids[-1][1]
         if isinstance(node, SumC):
-            l, r = infer(node.left), infer(node.right)
-            return Typed(node, Sum(l.src, r.src), Sum(l.tgt, r.tgt), (l, r))
+            (ls, lt), (rs, rt) = infer(node.left), infer(node.right)
+            return Sum(ls, rs), Sum(lt, rt)
         if isinstance(node, ProdC):
-            l, r = infer(node.left), infer(node.right)
-            return Typed(node, Prod(l.src, r.src), Prod(l.tgt, r.tgt), (l, r))
+            (ls, lt), (rs, rt) = infer(node.left), infer(node.right)
+            return Prod(ls, rs), Prod(lt, rt)
+        if isinstance(node, MetaVar):
+            raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
         raise TypeError(f"cannot typecheck {node!r}")
 
-    root = infer(c)
+    src, tgt = infer(c)
     if expected is not None:
-        u.unify(root.src, expected[0], c)
-        u.unify(root.tgt, expected[1], c)
+        u.unify(src, expected[0], c)
+        u.unify(tgt, expected[1], c)
 
-    # found type node (by identity) -> its ground type, or None if a variable
-    # is left; one entry per shared node, so each subtree is resolved once
-    ground: dict[int, Optional[ValueType]] = {}
+    # Top down, in preorder, so the first node left open is the one reported.
+    # A node's children get their types from its own (ground) types and, for
+    # a Seq, its bounds.  Outside shared nodes the bounds are grounded through
+    # the final substitution; under a shared node, through the match of its
+    # scheme with the types of the occurrence.  A node outside every shared
+    # node occurs once, so only the others go through the memo.
+    root_env = u.subst
+    built: dict[tuple[int, int, int], Typed] = {}
 
-    def ground_type(ty: ValueType) -> Optional[ValueType]:
-        ty = u.find(ty)
-        key = id(ty)
-        if key not in ground:
-            if isinstance(ty, TVar):
-                ground[key] = None
-            elif isinstance(ty, (Sum, Prod)):
-                l, r = ground_type(ty.left), ground_type(ty.right)
-                ground[key] = None if l is None or r is None else type(ty)(l, r)
-            else:
-                ground[key] = ty
-        return ground[key]
+    def build(node: Combinator, src: ValueType, tgt: ValueType, env: dict) -> Typed:
+        key = id(node)
+        memo_key = None
+        if env is not root_env or key in shared:
+            memo_key = (key, id(src), id(tgt))
+            hit = built.get(memo_key)
+            if hit is not None:
+                return hit
+            if key in schemes:
+                _, _, s_src, s_tgt = schemes[key]
+                env = {}
+                _match(s_src, src, env)
+                _match(s_tgt, tgt, env)
+        if isinstance(node, Ann):
+            kids: tuple[Typed, ...] = (build(node.term, src, tgt, env),)
+        elif isinstance(node, Seq):
+            parts, out, prev = node.parts, [], src
+            for part, bound in zip(parts, bounds[key]):
+                mid = _ground(bound, env)
+                if mid is None:
+                    raise UnresolvedMetavariable(part)
+                out.append(build(part, prev, mid, env))
+                prev = mid
+            out.append(build(parts[-1], prev, tgt, env))
+            kids = tuple(out)
+        elif isinstance(node, (SumC, ProdC)):
+            kids = (build(node.left, src.left, tgt.left, env),
+                    build(node.right, src.right, tgt.right, env))
+        else:
+            kids = ()
+        typed = Typed(node, src, tgt, kids)
+        if memo_key is not None:
+            built[memo_key] = typed
+        return typed
 
-    def resolve(t: Typed) -> Typed:
-        src, tgt = ground_type(t.src), ground_type(t.tgt)
-        if src is None or tgt is None:
-            raise UnresolvedMetavariable(t.term)
-        return Typed(t.term, src, tgt, tuple(resolve(ch) for ch in t.children))
-
-    return resolve(root)
+    src, tgt = _ground(src, root_env), _ground(tgt, root_env)
+    if src is None or tgt is None:
+        raise UnresolvedMetavariable(c)
+    return build(c, src, tgt, root_env)
 
 
 def strip_ann(c: Combinator) -> Combinator:

@@ -317,11 +317,12 @@ def _prim_matrix(name: str, src: ValueType, tgt: ValueType) -> ExactMatrix:
 def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     """Denotation of a typed combinator.
 
-    The memo table is per-call and keyed on subterm identity plus its
-    concrete types, so shared macro expansions evaluate once.
+    The memo table is per-call and keyed on the Typed node's identity:
+    ``typecheck`` makes one Typed per (subterm, src, tgt), so shared macro
+    expansions evaluate once.
     """
     memo = _memo if _memo is not None else {}
-    key = (id(t.term), t.src, t.tgt)
+    key = id(t)
     hit = memo.get(key)
     if hit is not None:
         return hit

@@ -229,3 +229,11 @@ def test_swap_network_is_undone_by_its_cached_pieces():
                 undo_parts = undo.parts if isinstance(undo, Seq) else (undo,)
                 tail = placed.term.parts[-len(undo_parts):]
                 assert all(a is b for a, b in zip(tail, undo_parts)), (wires, n)
+
+
+def test_circuit_width_limit():
+    from sqrtpi.circuits import MAX_QUBITS
+
+    assert Circuit(MAX_QUBITS, ()).n_qubits == MAX_QUBITS
+    with pytest.raises(CircuitError, match="exceed the limit"):
+        Circuit(MAX_QUBITS + 1, ())

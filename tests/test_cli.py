@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import time
 
 import pytest
@@ -209,6 +210,10 @@ def test_long_chain_parses_and_typechecks(capsys, tmp_path):
     assert (code, out.count(";")) == (0, 1999)
     code, out, _ = run(capsys, "typecheck", str(term))
     assert (code, out.strip()) == (0, "2 <-> 2")
+    # each `id` adds a type variable bound to the next one
+    term.write_text(" ; ".join(["id"] * 3000), encoding="utf-8")
+    code, out, _ = run(capsys, "typecheck", str(term), "--type", "2 <-> 2")
+    assert (code, out.strip()) == (0, "2 <-> 2")
 
 
 def test_nesting_limit_exit_code(capsys, tmp_path):
@@ -350,3 +355,121 @@ def test_dimension_limit_exit_code(capsys, tmp_path, monkeypatch):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "exceeds" in err
         assert len(err.splitlines()) == 1
+
+
+# primitives and gate names that the seeded ill-typed inputs are built from
+ERROR_ATOMS = ("id", "swap+", "swap*", "assocl*", "assocr*", "assocl+", "dist",
+               "factor", "unite*l", "uniti*l", "uniti+l", "absorbl", "v", "w",
+               "h", "x", "cx", "cz", "ccx")
+ERROR_TYPES = ("1", "2", "2*2", "2+1", "1*2", "2*2*2", "0")
+
+
+def _random_untyped(rng: random.Random, depth: int) -> str:
+    """Surface syntax combined at random from ERROR_ATOMS; mostly ill-typed."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(ERROR_ATOMS)
+    op = rng.choice((" ; ", " + ", " * ", " ; "))
+    text = _random_untyped(rng, depth - 1) + op + _random_untyped(rng, depth - 1)
+    if rng.random() < 0.2:
+        return f"({text} : {rng.choice(ERROR_TYPES)} <-> {rng.choice(ERROR_TYPES)})"
+    return f"({text})"
+
+
+def _mutant(rng: random.Random, seed: int) -> str:
+    """A well-typed random term with one primitive renamed or a wrong annotation."""
+    from sqrtpi.lang import pretty, type_str
+    from termgen import random_terms
+
+    term, src, tgt = next(random_terms(100 + seed, 1, max_depth=4))
+    text = pretty(term)
+    names = list(re.finditer(r"[a-z][a-z+*]*", text))
+    if rng.random() < 0.6:
+        m = rng.choice(names)
+        text = text[:m.start()] + rng.choice(ERROR_ATOMS) + text[m.end():]
+        return f"{text} : {type_str(src)} <-> {type_str(tgt)}"
+    return f"{text} : {type_str(src)} <-> {rng.choice(ERROR_TYPES)}"
+
+
+def ill_typed_inputs() -> list[str]:
+    """Fifty seeded inputs, most of them ill-typed or not fully determined."""
+    out = []
+    for seed in range(50):
+        rng = random.Random(seed)
+        out.append(_random_untyped(rng, 3) if seed % 2 else _mutant(rng, seed))
+    return out
+
+
+def error_digests(workdir) -> dict:
+    """sha256 prefix of the exit code and stderr of `typecheck`, `eval` and
+    `equiv` (the input on either side) on each of ill_typed_inputs(), with and
+    without --expand-macros."""
+    partner = os.path.join(FILES, "h.term")
+    out = {}
+    for i, text in enumerate(ill_typed_inputs()):
+        path = os.path.join(workdir, f"bad{i}.term")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+        runs = {"typecheck": ["typecheck", path], "eval": ["eval", path],
+                "equiv_left": ["equiv", path, partner],
+                "equiv_right": ["equiv", partner, path]}
+        for flags in ((), ("--expand-macros",)):
+            for name, argv in runs.items():
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main([*argv, *flags])
+                key = f"bad{i} {name}{' expand' if flags else ''}"
+                blob = f"{code}\n{err.getvalue()}".encode()
+                out[key] = hashlib.sha256(blob).hexdigest()[:16]
+    return out
+
+
+def test_error_output_matches_pinned_digests(tmp_path):
+    # error_digests.json was recorded with the tree-walking typechecker: which
+    # node a type error names, and its tN variables, must not depend on how
+    # repeated subterms are checked
+    with open(os.path.join(os.path.dirname(__file__), "error_digests.json"),
+              encoding="utf-8") as f:
+        pinned = json.load(f)
+    assert error_digests(str(tmp_path)) == pinned
+
+
+def test_qubit_limit(capsys, tmp_path):
+    from sqrtpi.circuits import MAX_QUBITS, compile_circuit, parse_circuit
+    from sqrtpi.lang import parse
+
+    n = MAX_QUBITS
+    # ccx on the first wires nests deepest; at n + 1 it no longer parses
+    at_limit = tmp_path / "max.circ"
+    at_limit.write_text(f"qubits {n}\nccx 0 1 2\ncx {n - 1} 0\nx {n - 1}\n", encoding="utf-8")
+    code, out, err = run(capsys, "compile", str(at_limit))
+    assert (code, err) == (0, "")
+    assert parse(out) == compile_circuit(parse_circuit(at_limit.read_text()))
+    code, out, _ = run(capsys, "typecheck", str(at_limit))
+    assert (code, out.strip()) == (0, " <-> ".join(["*".join(["2"] * n)] * 2))
+    for argv in (["eval", str(at_limit)], ["equiv", str(at_limit), str(at_limit)]):
+        code, out, err = run(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert "exceeds the evaluation limit" in err
+    one_gate = tmp_path / "x.circ"
+    one_gate.write_text(f"qubits {n}\nx {n - 1}\n", encoding="utf-8")
+    code, out, _ = run(capsys, "simplify", str(one_gate), "--steps", "1")
+    assert code == 0 and out.startswith("start: ")
+
+    over = tmp_path / "over.circ"
+    over.write_text(f"qubits {n + 1}\nccx 0 1 2\n", encoding="utf-8")
+    for argv in (["compile", str(over)], ["typecheck", str(over)], ["eval", str(over)],
+                 ["equiv", str(over), str(at_limit)], ["simplify", str(over)]):
+        code, out, err = run(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert f"line 1: {n + 1} qubits exceed the limit of {n}" in err, argv
+
+
+def test_far_over_qubit_limit_is_checked_first(capsys, tmp_path):
+    circ = tmp_path / "wide.circ"
+    circ.write_text("qubits 900\ncx 0 899\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "equiv", str(circ), str(circ))
+    assert time.perf_counter() - start < 1.0
+    _assert_one_line_error(code, out, err)
+    assert "900 qubits exceed the limit" in err

@@ -1,0 +1,363 @@
+"""lang.typecheck against an independent, tree-walking oracle.
+
+The oracle infers every occurrence of a subterm afresh, the way the typing
+rules read: a primitive instantiates its scheme with fresh variables t1, t2,
+... in order of first appearance, a chain unifies neighbouring parts after
+inferring all of them, and the first node in preorder whose type is not
+ground is reported.  Types are tuples: ("0",), ("1",), ("+", a, b),
+("*", a, b) and ("var", n).  typecheck shares the work on repeated subterms,
+and must still agree with the oracle on the types of every occurrence and,
+on ill-typed input, on the error class, the node object and the message.
+"""
+
+import gc
+import os
+import random
+
+import pytest
+
+from sqrtpi import lang
+from sqrtpi.circuits import Circuit, CircuitGate, compile_circuit
+from sqrtpi.gates import gate_macros, named_gate
+from sqrtpi.lang import (
+    BOOL,
+    ONE_T,
+    Ann,
+    Prim,
+    ProdC,
+    Seq,
+    Sum,
+    SumC,
+    TypeCheckError,
+    parse,
+    pretty,
+    seq,
+    type_str,
+    typecheck,
+)
+from termgen import random_terms
+
+Z, U = ("0",), ("1",)
+A, B, C = ("var", "a"), ("var", "b"), ("var", "c")
+
+
+def S(x, y):
+    return ("+", x, y)
+
+
+def P(x, y):
+    return ("*", x, y)
+
+
+TWO = S(U, U)
+ORACLE_SCHEMES = {
+    "id": (A, A),
+    "swap+": (S(A, B), S(B, A)),
+    "assocr+": (S(S(A, B), C), S(A, S(B, C))),
+    "assocl+": (S(A, S(B, C)), S(S(A, B), C)),
+    "unite+l": (S(Z, A), A),
+    "uniti+l": (A, S(Z, A)),
+    "swap*": (P(A, B), P(B, A)),
+    "assocr*": (P(P(A, B), C), P(A, P(B, C))),
+    "assocl*": (P(A, P(B, C)), P(P(A, B), C)),
+    "unite*l": (P(U, A), A),
+    "uniti*l": (A, P(U, A)),
+    "dist": (P(S(A, B), C), S(P(A, C), P(B, C))),
+    "factor": (S(P(A, C), P(B, C)), P(S(A, B), C)),
+    "absorbl": (P(A, Z), Z),
+    "factorzr": (Z, P(A, Z)),
+    "v": (TWO, TWO),
+    "vi": (TWO, TWO),
+    "w": (U, U),
+    "wi": (U, U),
+}
+
+
+class OracleError(Exception):
+    def __init__(self, kind, node, message):
+        super().__init__(message)
+        self.kind, self.node, self.message = kind, node, message
+
+
+def to_lang(t):
+    """Oracle type to a lang type (variables become TVars)."""
+    if t[0] == "0":
+        return lang.ZERO_T
+    if t[0] == "1":
+        return ONE_T
+    if t[0] == "var":
+        return lang.TVar(t[1])
+    cons = lang.Sum if t[0] == "+" else lang.Prod
+    return cons(to_lang(t[1]), to_lang(t[2]))
+
+
+def of_lang(t):
+    if t is lang.ZERO_T:
+        return Z
+    if t is ONE_T:
+        return U
+    return ("+" if isinstance(t, lang.Sum) else "*", of_lang(t.left), of_lang(t.right))
+
+
+class Oracle:
+    def __init__(self):
+        self.subst, self.counter = {}, 0
+
+    def find(self, t):
+        while t[0] == "var" and t[1] in self.subst:
+            t = self.subst[t[1]]
+        return t
+
+    def resolve(self, t):
+        t = self.find(t)
+        if t[0] in "+*":
+            return (t[0], self.resolve(t[1]), self.resolve(t[2]))
+        return t
+
+    def occurs(self, n, t):
+        t = self.find(t)
+        if t[0] == "var":
+            return t[1] == n
+        return t[0] in "+*" and (self.occurs(n, t[1]) or self.occurs(n, t[2]))
+
+    def fail(self, a, b, node):
+        a, b = type_str(to_lang(self.resolve(a))), type_str(to_lang(self.resolve(b)))
+        where = f" at `{pretty(node)}`" if node is not None else ""
+        raise OracleError("UnificationFailure", node, f"cannot unify {a} with {b}{where}")
+
+    def unify(self, a, b, node):
+        a, b = self.find(a), self.find(b)
+        if a == b and a[0] in ("var", "0", "1"):
+            return
+        if a[0] == "var":
+            if self.occurs(a[1], b):
+                self.fail(a, b, node)
+            self.subst[a[1]] = b
+        elif b[0] == "var":
+            self.unify(b, a, node)
+        elif a[0] == b[0] and a[0] in "+*":
+            self.unify(a[1], b[1], node)
+            self.unify(a[2], b[2], node)
+        elif a[0] != b[0] or a[0] not in "01":
+            self.fail(a, b, node)
+
+    def instantiate(self, t, names):
+        if t[0] == "var":
+            if t[1] not in names:
+                self.counter += 1
+                names[t[1]] = ("var", self.counter)
+            return names[t[1]]
+        if t[0] in "+*":
+            return (t[0], self.instantiate(t[1], names), self.instantiate(t[2], names))
+        return t
+
+    def infer(self, node):
+        """(node, src, tgt, children) for this occurrence of node."""
+        if isinstance(node, Prim):
+            names = {}
+            src, tgt = ORACLE_SCHEMES[node.name]
+            return (node, self.instantiate(src, names), self.instantiate(tgt, names), ())
+        if isinstance(node, Ann):
+            inner = self.infer(node.term)
+            src, tgt = of_lang(node.src), of_lang(node.tgt)
+            self.unify(inner[1], src, node)
+            self.unify(inner[2], tgt, node)
+            return (node, src, tgt, (inner,))
+        if isinstance(node, Seq):
+            kids = [self.infer(p) for p in node.parts]
+            for f, g in zip(kids, kids[1:]):
+                self.unify(f[2], g[1], node)
+            return (node, kids[0][1], kids[-1][2], tuple(kids))
+        if isinstance(node, (SumC, ProdC)):
+            op = "+" if isinstance(node, SumC) else "*"
+            l, r = self.infer(node.left), self.infer(node.right)
+            return (node, (op, l[1], r[1]), (op, l[2], r[2]), (l, r))
+        raise OracleError("TypeCheckError", None,
+                          f"cannot typecheck pattern variable ?{node.name}")
+
+
+def oracle_typecheck(term, expected=None):
+    """[(node, src, tgt)] for every occurrence, in preorder."""
+    o = Oracle()
+    root = o.infer(term)
+    if expected is not None:
+        o.unify(root[1], of_lang(expected[0]), term)
+        o.unify(root[2], of_lang(expected[1]), term)
+    out = []
+
+    def walk(rec):
+        node, src, tgt, kids = rec
+        src, tgt = o.resolve(src), o.resolve(tgt)
+        if "var" in repr((src, tgt)):
+            raise OracleError(
+                "UnresolvedMetavariable", node,
+                f"type of `{pretty(node)}` is not fully determined; "
+                "add an annotation or an expected type")
+        out.append((node, src, tgt))
+        for k in kids:
+            walk(k)
+
+    walk(root)
+    return out
+
+
+def preorder(typed):
+    out = [typed]
+    for k in typed.children:
+        out.extend(preorder(k))
+    return out
+
+
+def agree(term, expected=None):
+    """typecheck and the oracle agree on term; returns True if it is well-typed."""
+    try:
+        want = oracle_typecheck(term, expected)
+    except OracleError as e:
+        with pytest.raises(TypeCheckError) as info:
+            typecheck(term, expected)
+        got = info.value
+        assert type(got).__name__ == e.kind
+        assert getattr(got, "node", None) is e.node
+        assert str(got) == e.message
+        return False
+    typed = typecheck(term, expected)
+    got = preorder(typed)
+    assert len(got) == len(want)
+    for t, (node, src, tgt) in zip(got, want):
+        assert t.term is node
+        assert (of_lang(t.src), of_lang(t.tgt)) == (src, tgt)
+    # one Typed per (node, src, tgt)
+    by_key = {}
+    for t in got:
+        assert by_key.setdefault((id(t.term), t.src, t.tgt), t) is t
+    return True
+
+
+CIRCUIT_GATES = {name: m.qubits for name, m in gate_macros().items() if m.qubits}
+
+
+def seeded_circuit(seed):
+    """1-6 qubits; gates and wire tuples drawn from a small pool, so both repeat."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    names = [g for g, k in CIRCUIT_GATES.items() if k <= n]
+    pool = []
+    for _ in range(4):
+        g = rng.choice(names)
+        pool.append(CircuitGate(g, tuple(rng.sample(range(n), CIRCUIT_GATES[g]))))
+    return Circuit(n, tuple(rng.choice(pool) for _ in range(rng.randint(1, 10))))
+
+
+# shared pieces for ill-typed DAGs: gate macros and primitive objects
+PIECES = [named_gate(g) for g in ("h", "x", "s", "cx", "cz", "ccx", "swap")] + [
+    Prim(p) for p in ("swap+", "swap*", "dist", "uniti*l", "assocl*", "v", "w", "id",
+                      "absorbl", "factorzr")
+]
+ANN_TYPES = (BOOL, ONE_T, lang.ZERO_T, lang.Prod(BOOL, BOOL), Sum(BOOL, ONE_T),
+             lang.Prod(BOOL, lang.ZERO_T))
+
+
+def random_dag(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(PIECES)
+    kind = rng.randrange(4)
+    a, b = random_dag(rng, depth - 1), random_dag(rng, depth - 1)
+    if kind == 0:
+        return seq(a, b, a) if rng.random() < 0.5 else seq(a, b)
+    if kind == 1:
+        return SumC(a, b)
+    if kind == 2:
+        return ProdC(a, a if rng.random() < 0.5 else b)
+    src = rng.choice(ANN_TYPES)
+    return Ann(a, src, src if rng.random() < 0.5 else rng.choice(ANN_TYPES))
+
+
+def test_random_terms_agree():
+    for seed in range(4):
+        for term, src, tgt in random_terms(seed, 25):
+            assert agree(term, (src, tgt))
+            agree(term)
+            shared = seq(term, Prim("id"), term) if src == tgt else ProdC(term, term)
+            assert agree(shared, (src, src) if src == tgt else
+                         (lang.Prod(src, src), lang.Prod(tgt, tgt)))
+
+
+def test_shared_polymorphic_nodes_agree():
+    # one node object used at several types, inside and outside annotations
+    loop = seq(Prim("uniti*l"), Prim("unite*l"))
+    swap_twice = seq(Prim("swap+"), Prim("swap+"))
+    for seed, (term, src, tgt) in enumerate(random_terms(21, 40)):
+        both = SumC(Ann(loop, src, src), seq(term, loop))
+        assert agree(both, (Sum(src, src), Sum(src, tgt)))
+        assert agree(ProdC(loop, Ann(loop, tgt, tgt)), (lang.Prod(BOOL, tgt),) * 2)
+        nested = SumC(swap_twice, SumC(Ann(swap_twice, Sum(src, tgt), Sum(src, tgt)),
+                                       swap_twice))
+        agree(nested, (Sum(Sum(ONE_T, BOOL), Sum(Sum(src, tgt), Sum(BOOL, BOOL))),) * 2)
+        agree(nested)
+        # an unshared node under a shared one, at the same types twice
+        half = SumC(Prim("v"), seq(Prim("uniti*l"), Prim("unite*l")))
+        assert agree(SumC(Ann(half, Sum(BOOL, src), Sum(BOOL, src)), half),
+                     (Sum(Sum(BOOL, src), Sum(BOOL, tgt)),) * 2)
+        # a middle type of absorbl ; factorzr ; absorbl is open under a shared node
+        open_mid = seq(Prim("absorbl"), Prim("factorzr"), Prim("absorbl"))
+        assert not agree(SumC(Ann(open_mid, lang.Prod(src, lang.ZERO_T), lang.ZERO_T),
+                              open_mid),
+                         (Sum(lang.Prod(src, lang.ZERO_T), lang.Prod(BOOL, lang.ZERO_T)),
+                          Sum(lang.ZERO_T, lang.ZERO_T)))
+
+
+def test_seeded_circuits_agree():
+    for seed in range(30):
+        circuit = seeded_circuit(seed)
+        term = compile_circuit(circuit)
+        assert agree(term)
+        agree(term, (ONE_T, ONE_T))
+
+
+def test_demo_files_agree():
+    files = "demos/files"
+    for name in sorted(os.listdir(files)):
+        if name.endswith(".term"):
+            with open(os.path.join(files, name), encoding="utf-8") as f:
+                assert agree(parse(f.read(), expand_macros=True)), name
+
+
+def test_ill_typed_mutants_agree():
+    rng = random.Random(5)
+    failures = 0
+    for _ in range(300):
+        failures += not agree(random_dag(rng, 4))
+    assert failures > 150  # most random DAGs are ill-typed
+
+
+def test_mutated_random_terms_agree():
+    # swap one primitive occurrence of a well-typed term for another
+    rng = random.Random(9)
+    names = sorted(ORACLE_SCHEMES)
+    for term, src, tgt in random_terms(17, 60):
+        text = pretty(term)
+        words = [w for w in text.replace("(", " ").replace(")", " ").split()
+                 if w in ORACLE_SCHEMES]
+        mutant = text.replace(rng.choice(words), rng.choice(names), 1)
+        agree(parse(mutant), (src, tgt))
+        agree(parse(mutant))
+
+
+def test_ground_types_are_interned():
+    assert Sum(ONE_T, ONE_T) is BOOL
+    assert lang.Prod(BOOL, BOOL) is lang.Prod(Sum(ONE_T, ONE_T), BOOL)
+    assert lang.Zero() is lang.ZERO_T and lang.One() is ONE_T
+    assert Sum(lang.TVar(1), ONE_T) == Sum(lang.TVar(1), ONE_T)
+    assert hash(Sum(lang.TVar(1), ONE_T)) == hash(Sum(lang.TVar(1), ONE_T))
+    assert Sum(lang.TVar(1), ONE_T) != Sum(lang.TVar(2), ONE_T)
+
+
+def test_intern_table_does_not_grow():
+    term = compile_circuit(seeded_circuit(3))
+    typecheck(term)
+    gc.collect()
+    size = len(lang._INTERNED)
+    for _ in range(3):
+        typecheck(term)
+        gc.collect()
+        assert len(lang._INTERNED) == size
