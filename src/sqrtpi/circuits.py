@@ -85,6 +85,10 @@ class Circuit:
             g.validate(self.n_qubits)
 
 
+# Equal terms are one object without any cache; these three are cached because
+# each rebuilds O(n) nodes (two of them recursively) at every placement.
+
+
 @lru_cache(maxsize=None)
 def wire_type(n: int) -> ValueType:
     """(1+1) x ((1+1) x (...)), right-associated, n >= 1 factors."""
@@ -122,22 +126,6 @@ def _group_prefix(k: int, n: int) -> Combinator:
     )
 
 
-@lru_cache(maxsize=None)
-def _group_prefix_inverse(k: int, n: int) -> Combinator:
-    return invert(_group_prefix(k, n))
-
-
-@lru_cache(maxsize=None)
-def _padded_core(gate_term: Combinator, k: int, n: int) -> Combinator:
-    """The k-qubit gate on the first k of n wires, k < n.  Cached, so every
-    placement of a gate at one width shares the node."""
-    return seq(
-        _group_prefix(k, n),
-        ProdC(gate_term, identity_at(wire_type(n - k))),
-        _group_prefix_inverse(k, n),
-    )
-
-
 def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> Combinator:
     """Apply a k-qubit gate term to the named wires of an n-wire circuit.
 
@@ -145,7 +133,7 @@ def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> 
     bubbled into slots 0..k-1 (in the given order) by adjacent SWAPs, the
     gate is tensored with the identity on the rest, and the SWAP network is
     undone.  Each adjacent SWAP is its own inverse, so the network is undone
-    by the same cached pieces in reverse order, and a circuit shares them.
+    by the same pieces in reverse order.
     """
     wires = tuple(wires)
     k = len(wires)
@@ -157,17 +145,19 @@ def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> 
         if not 0 <= w < n:
             raise CircuitError(f"wire {w} out of range for {n} wire(s)")
 
-    core = gate_term if k == n else _padded_core(gate_term, k, n)
+    if k < n:  # the gate on the first k wires, the identity on the rest
+        gate_term = seq(_group_prefix(k, n), ProdC(gate_term, identity_at(wire_type(n - k))),
+                        invert(_group_prefix(k, n)))
     t = wire_type(n)
     network = _swap_network(wires, n)
     if not network:
-        return Ann(core, t, t)
-    return Ann(seq(*network, core, *reversed(network)), t, t)
+        return Ann(gate_term, t, t)
+    return Ann(seq(*network, gate_term, *reversed(network)), t, t)
 
 
 def _swap_network(wires: tuple[int, ...], n: int) -> list[Combinator]:
-    """The cached adjacent SWAPs, in order, that bubble wire wires[i] into
-    slot i of an n-wire tensor."""
+    """The adjacent SWAPs, in order, that bubble wire wires[i] into slot i of
+    an n-wire tensor."""
     slots = list(range(n))
     network = []
     for i, w in enumerate(wires):
@@ -183,8 +173,7 @@ def compile_circuit(circuit: Circuit) -> Combinator:
     macros = gate_macros()
     n = circuit.n_qubits
     if not circuit.gates:
-        t = wire_type(n)
-        return Ann(Prim("id"), t, t)
+        return identity_at(wire_type(n))
     placed = [place(macros[g.gate].term, g.wires, n) for g in circuit.gates]
     return seq(*placed)
 

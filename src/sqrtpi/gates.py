@@ -16,8 +16,8 @@ Notable definitions:
     ctrl(m)  = mat ; (id + m) ; mat^-1
     nctrl(m) = mat ; (m + id) ; mat^-1
 
-Zero-argument constructors are cached so every use of a gate shares one
-term object; the evaluator memoizes on subterm identity.
+Equal terms are one object (``lang`` interns its nodes), so every use of
+a gate shares one term, and typecheck and eval do its work once.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def identity_at(t: ValueType) -> Combinator:
     return Ann(Prim("id"), t, t)
 
 
-@lru_cache(maxsize=None)
 def omega_term(n: int) -> Combinator:
     """The scalar w^n as a 1 <-> 1 term (w^0 is the scalar 1, i.e. id)."""
     n %= 8
@@ -87,39 +86,32 @@ def scalar_mul_right(c: Combinator, s: Combinator) -> Combinator:
     return seq(uniti_r_times(), ProdC(c, s), unite_r_times())
 
 
-@lru_cache(maxsize=None)
 def unite_r_times() -> Combinator:
     """Derived right unitor b*1 <-> b (the language only has left unitors)."""
     return seq(Prim("swap*"), Prim("unite*l"))
 
 
-@lru_cache(maxsize=None)
 def uniti_r_times() -> Combinator:
     return seq(Prim("uniti*l"), Prim("swap*"))
 
 
-@lru_cache(maxsize=None)
 def unite_r_plus() -> Combinator:
     return seq(Prim("swap+"), Prim("unite+l"))
 
 
-@lru_cache(maxsize=None)
 def uniti_r_plus() -> Combinator:
     return seq(Prim("uniti+l"), Prim("swap+"))
 
 
-@lru_cache(maxsize=None)
 def dist_left() -> Combinator:
     """Derived left distributor a*(b+c) <-> (a*b)+(a*c), via swap*."""
     return seq(Prim("swap*"), Prim("dist"), SumC(Prim("swap*"), Prim("swap*")))
 
 
-@lru_cache(maxsize=None)
 def factor_left() -> Combinator:
     return invert(dist_left())
 
 
-@lru_cache(maxsize=None)
 def mat(a: ValueType) -> Combinator:
     """Block-matrix reshaping (1+1)*a <-> a+a; evaluates to the identity."""
     return Ann(
@@ -129,7 +121,6 @@ def mat(a: ValueType) -> Combinator:
     )
 
 
-@lru_cache(maxsize=None)
 def mat_inv(a: ValueType) -> Combinator:
     return invert(mat(a))
 
@@ -151,21 +142,18 @@ def _square_type(m: Combinator, a: Optional[ValueType]) -> ValueType:
     return t.src
 
 
-@lru_cache(maxsize=None)
 def ctrl(m: Combinator, a: Optional[ValueType] = None) -> Combinator:
     """Positively controlled m: block-diag(I, m)."""
     a = _square_type(m, a)
     return seq(mat(a), SumC(identity_at(a), m), mat_inv(a))
 
 
-@lru_cache(maxsize=None)
 def nctrl(m: Combinator, a: Optional[ValueType] = None) -> Combinator:
     """Negatively controlled m: block-diag(m, I)."""
     a = _square_type(m, a)
     return seq(mat(a), SumC(m, identity_at(a)), mat_inv(a))
 
 
-@lru_cache(maxsize=None)
 def midswap(
     a: ValueType = ONE_T,
     b: ValueType = ONE_T,
@@ -183,7 +171,6 @@ def midswap(
     return Ann(term, Sum(Sum(a, b), Sum(c, d)), Sum(Sum(a, c), Sum(b, d)))
 
 
-@lru_cache(maxsize=None)
 def swapassoc(a: ValueType) -> Combinator:
     """Swap the first two tensor factors of 2*(2*a)."""
     term = seq(Prim("assocl*"), ProdC(Prim("swap*"), identity_at(a)), Prim("assocr*"))
@@ -194,48 +181,39 @@ def swapassoc(a: ValueType) -> Combinator:
 # --- the named gates --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def x_gate() -> Combinator:
     return Ann(Prim("swap+"), BOOL, BOOL)
 
 
-@lru_cache(maxsize=None)
 def z_gate() -> Combinator:
     return phase_gate(omega_term(4))
 
 
-@lru_cache(maxsize=None)
 def s_gate() -> Combinator:
     return phase_gate(omega_term(2))
 
 
-@lru_cache(maxsize=None)
 def sdg_gate() -> Combinator:
     return phase_gate(omega_term(6))
 
 
-@lru_cache(maxsize=None)
 def t_gate() -> Combinator:
     return phase_gate(omega_term(1))
 
 
-@lru_cache(maxsize=None)
 def tdg_gate() -> Combinator:
     return phase_gate(omega_term(7))
 
 
-@lru_cache(maxsize=None)
 def h_gate() -> Combinator:
     body = seq(x_gate(), s_gate(), Prim("v"), s_gate(), x_gate())
     return scalar_mul(omega_term(1), body)
 
 
-@lru_cache(maxsize=None)
 def k_gate() -> Combinator:
     return scalar_mul(omega_term(7), h_gate())
 
 
-@lru_cache(maxsize=None)
 def swap_gate() -> Combinator:
     return Ann(Prim("swap*"), Prod(BOOL, BOOL), Prod(BOOL, BOOL))
 

@@ -70,11 +70,13 @@ class One:
 ZERO_T = object.__new__(Zero)
 ONE_T = object.__new__(One)
 
-# Closed Sum/Prod types are hash-consed: the constructor returns the one live
-# object with the same class and children, found by the children's identities
-# (which the entry keeps alive).  Equal closed types are therefore the same
-# object.  Types with a TVar are unifier temporaries and are not interned.
+# Closed Sum/Prod types and term nodes are hash-consed: the constructor returns
+# the one live object with the same class and fields, found by the children's
+# identities (which the entry keeps alive).  Equal closed types and equal terms
+# are therefore the same object.  Types with a TVar are unifier temporaries and
+# are not interned.
 _INTERNED: "weakref.WeakValueDictionary[tuple, _Pair]" = weakref.WeakValueDictionary()
+_TERMS: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 
 
@@ -171,46 +173,65 @@ def type_str(t: ValueType, level: int = 0) -> str:
 # combinator AST
 
 
-@dataclass(frozen=True)
-class Prim:
-    name: str
+_SELF = object()  # the _bare of a node without annotations
 
 
-@dataclass(frozen=True)
-class Seq:
+class _Node:
+    """Base of the interned term nodes; == and hash are identity.  ``_bare``
+    caches strip_ann (never the node itself, which would be a cycle) and
+    ``_size`` caches rewrite.term_size (0 until computed)."""
+
+    __slots__ = ("_bare", "_size", "__weakref__")
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _TERMS.get(key)
+        if node is None:
+            with _INTERN_LOCK:
+                node = _TERMS.get(key)
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(cls._fields, args, strict=True):
+                        setattr(node, name, value)
+                    node._bare, node._size = None, 0
+                    _TERMS[key] = node
+        return node
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Prim(_Node):
+    __slots__ = _fields = ("name",)
+
+
+class Seq(_Node):
     """Chain ``parts[0] ; parts[1] ; ...``.  ``;`` is associative, so a chain
     is flat: two or more parts, none a Seq (a chain inside an Ann part stays
     there).  Build chains with :func:`seq`, which keeps this invariant."""
 
-    parts: tuple["Combinator", ...]
+    __slots__ = _fields = ("parts",)
 
 
-@dataclass(frozen=True)
-class SumC:
-    left: "Combinator"
-    right: "Combinator"
+class SumC(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ProdC:
-    left: "Combinator"
-    right: "Combinator"
+class ProdC(_Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Ann:
+class Ann(_Node):
     """Type-annotated subterm ``(c : src <-> tgt)``."""
 
-    term: "Combinator"
-    src: ValueType
-    tgt: ValueType
+    __slots__ = _fields = ("term", "src", "tgt")
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(_Node):
     """Pattern hole; only valid inside rewrite-rule patterns."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
 
 Combinator = Union[Prim, Seq, SumC, ProdC, Ann, MetaVar]
@@ -730,8 +751,8 @@ def typecheck(
     the term stays polymorphic after inference (supply ``expected`` or add
     annotations in that case).
 
-    A term is a DAG: macros and circuit pieces are shared objects.  Each
-    shared node is inferred once, at its first occurrence, and its principal
+    A term is a DAG: equal subterms are one object.  Each shared node is
+    inferred once, at its first occurrence, and its principal
     type is kept as a scheme that later occurrences instantiate, as a
     primitive instantiates its SCHEMES row.  The fresh-variable counter
     advances as if the node had been inferred again, so a diagnostic names
@@ -849,13 +870,15 @@ def typecheck(
 
 
 def strip_ann(c: Combinator) -> Combinator:
-    """Erase type annotations (for structural comparisons)."""
-    if isinstance(c, Ann):
-        return strip_ann(c.term)
-    if isinstance(c, Seq):
-        return seq(*[strip_ann(p) for p in c.parts])
-    if isinstance(c, SumC):
-        return SumC(strip_ann(c.left), strip_ann(c.right))
-    if isinstance(c, ProdC):
-        return ProdC(strip_ann(c.left), strip_ann(c.right))
-    return c
+    """Erase type annotations (for structural comparisons); cached on the node."""
+    bare = c._bare
+    if bare is None:
+        bare = c
+        if isinstance(c, Ann):
+            bare = strip_ann(c.term)
+        elif isinstance(c, Seq):
+            bare = seq(*[strip_ann(p) for p in c.parts])
+        elif isinstance(c, (SumC, ProdC)):
+            bare = type(c)(strip_ann(c.left), strip_ann(c.right))
+        c._bare = _SELF if bare is c else bare
+    return c if bare is _SELF else bare

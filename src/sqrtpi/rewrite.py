@@ -45,7 +45,7 @@ from .lang import (
     strip_ann,
     typecheck,
 )
-from .semantics import ExactMatrix, Verdict, equal_matrices, evaluate
+from .semantics import DimensionError, ExactMatrix, Verdict, equal_matrices, evaluate
 
 
 class NoMatch(SqrtPiError):
@@ -131,12 +131,17 @@ def iter_paths(t: Combinator) -> Iterator[tuple[tuple[int, ...], Combinator, int
 
 def term_size(t: Combinator) -> int:
     """Node count, n-1 for the ``;`` of an n-part chain; annotations are free
-    so they never block a reduction."""
-    if isinstance(t, Ann):
-        return term_size(t.term)
-    if isinstance(t, Seq):
-        return len(t.parts) - 1 + sum(term_size(p) for p in t.parts)
-    return 1 + sum(term_size(k) for k in _children(t))
+    so they never block a reduction.  Cached on the node."""
+    size = t._size
+    if not size:
+        if isinstance(t, Ann):
+            size = term_size(t.term)
+        elif isinstance(t, Seq):
+            size = len(t.parts) - 1 + sum(term_size(p) for p in t.parts)
+        else:
+            size = 1 + sum(term_size(k) for k in _children(t))
+        t._size = size
+    return size
 
 
 # --- matching / substitution ------------------------------------------------
@@ -161,7 +166,7 @@ def _match(pat: Combinator, term: Combinator, b: dict, k: int = 0) -> bool:
         if prev is None:
             b[pat.name] = term
             return True
-        return strip_ann(prev) == strip_ann(term)
+        return strip_ann(prev) is strip_ann(term)
     if isinstance(pat, Ann):
         return _match(pat.term, term, b, k)
     if isinstance(term, Ann):
@@ -257,7 +262,7 @@ def _is_syntactic_inverse(a: Combinator, c: Combinator) -> bool:
                     and _is_syntactic_inverse(x.left, y.left)
                     and _is_syntactic_inverse(x.right, y.right)):
                 return False
-        elif x != y:  # a metavariable is its own inverse; None past an end
+        elif x is not y:  # a metavariable is its own inverse; None past an end
             return False
     return True
 
@@ -548,7 +553,7 @@ def validate_rule(
     rule: RewriteRule,
     instances: Optional[Sequence[tuple[Combinator, Combinator]]] = None,
 ) -> RuleReport:
-    """Exact matrix comparison of every instantiation; reports, never raises."""
+    """Exact comparison of every instantiation; an instance too large to decide raises."""
     pairs = tuple(instances) if instances is not None else rule.checks
     results = []
     for i, (lhs, rhs) in enumerate(pairs):
@@ -561,6 +566,8 @@ def validate_rule(
                 results.append(InstanceResult(i, True))
             else:
                 results.append(InstanceResult(i, False, _first_diff(ml, mr)))
+        except DimensionError as e:
+            raise DimensionError(f"rule {rule.name} instance {i}: {e}") from e
         except SqrtPiError as e:
             results.append(InstanceResult(i, False, f"{type(e).__name__}: {e}"))
     return RuleReport(rule.name, rule.family, tuple(results))
@@ -659,7 +666,9 @@ def load_catalog(text: str) -> tuple[RewriteRule, ...]:
             if key == "rule":
                 if cur is not None:
                     raise CatalogError("nested rule block")
-                cur = {"name": rest, "checks": [], "flags": set(), "phase": 0,
+                if any(r.name == rest for r in rules):
+                    raise CatalogError(f"duplicate rule {rest!r}")
+                cur = {"name": rest, "checks": [], "flags": [], "phase": 0,
                        "family": "?", "qubits": None, "side": None}
             elif cur is None:
                 raise CatalogError(f"{key!r} outside a rule block")
@@ -670,14 +679,15 @@ def load_catalog(text: str) -> tuple[RewriteRule, ...]:
             elif key == "phase":
                 cur["phase"] = int(rest)
             elif key == "flags":
-                cur["flags"] = set(rest.split())
+                cur["flags"] = flags = rest.split()  # `bidirectional` is retired, ignored
+                for flag in sorted(set(flags) - {"oriented", "normalizing", "bidirectional"}):
+                    raise CatalogError(f"unknown flag {flag!r}")
             elif key == "side":
-                parts = rest.split()
-                name, varnames = parts[0], tuple(parts[1:])
+                name, *varnames = rest.split() or [""]
                 if name not in SIDE_CONDITIONS:
                     raise CatalogError(f"unknown side condition {name!r}")
                 base = SIDE_CONDITIONS[name]
-                cur["side"] = SideCondition(name, varnames or base.vars, base.fn)
+                cur["side"] = SideCondition(name, tuple(varnames) or base.vars, base.fn)
             elif key == "lhs":
                 cur["lhs"] = parse(rest, allow_metavars=True)
             elif key == "rhs":
@@ -685,6 +695,8 @@ def load_catalog(text: str) -> tuple[RewriteRule, ...]:
             elif key == "check":
                 cur["checks"].append(_parse_check(rest))
             elif key == "end":
+                if not cur["checks"]:
+                    raise CatalogError(f"rule {cur['name']!r} has no check line")
                 flags = cur.pop("flags")
                 rules.append(
                     RewriteRule(

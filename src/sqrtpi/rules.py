@@ -74,8 +74,7 @@ _TWO_Q = Prod(BOOL, BOOL)
 _ID4 = identity_at(_TWO_Q)
 
 
-def _m(name: str) -> MetaVar:
-    return MetaVar(name)
+_m = MetaVar
 
 
 def _pin(src: ValueType, term: Combinator) -> Combinator:
@@ -122,7 +121,6 @@ def _rule(
 # --- D-family builders: operators on n-fold direct sums of 1 ----------------
 
 
-@lru_cache(maxsize=None)
 def sum_type(n: int) -> ValueType:
     """1 + (1 + (... + 1)), right-associated, n >= 1 components."""
     t: ValueType = ONE_T

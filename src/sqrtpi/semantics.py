@@ -318,8 +318,8 @@ def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     """Denotation of a typed combinator.
 
     The memo table is per-call and keyed on the Typed node's identity:
-    ``typecheck`` makes one Typed per (subterm, src, tgt), so shared macro
-    expansions evaluate once.
+    equal subterms are one object and ``typecheck`` makes one Typed per
+    (subterm, src, tgt), so every repeated subterm evaluates once.
     """
     memo = _memo if _memo is not None else {}
     key = id(t)

@@ -196,6 +196,39 @@ def test_catalog_subcommand_round_trips(capsys):
     assert [(r.name, r.oriented, r.normalizing) for r in load_catalog(old)] == flags
 
 
+def _catalog_error(capsys, tmp_path, monkeypatch, body):
+    path = tmp_path / "rules.txt"
+    path.write_text("sqrtpi-rules 1\n" + body, encoding="utf-8")
+    monkeypatch.setenv("SQRTPI_RULE_CATALOG", str(path))
+    code, out, err = run(capsys, "check-rules")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def test_catalog_side_without_condition_name(capsys, tmp_path, monkeypatch):
+    err = _catalog_error(capsys, tmp_path, monkeypatch,
+                         "rule r\nside\nlhs v\nrhs v\ncheck v == v\nend\n")
+    assert err.startswith("error: line 3: unknown side condition")
+
+
+def test_catalog_unknown_flag(capsys, tmp_path, monkeypatch):
+    err = _catalog_error(capsys, tmp_path, monkeypatch,
+                         "rule r\nflags orientd\nlhs v\nrhs v\ncheck v == v\nend\n")
+    assert err == "error: line 3: unknown flag 'orientd'\n"
+
+
+def test_catalog_rule_without_check(capsys, tmp_path, monkeypatch):
+    err = _catalog_error(capsys, tmp_path, monkeypatch, "rule r\nlhs v\nrhs v\nend\n")
+    assert err == "error: line 5: rule 'r' has no check line\n"
+
+
+def test_catalog_duplicate_rule_name(capsys, tmp_path, monkeypatch):
+    block = "rule r\nlhs v\nrhs v\ncheck v == v\nend\n"
+    err = _catalog_error(capsys, tmp_path, monkeypatch, block + block)
+    assert err == "error: line 7: duplicate rule 'r'\n"
+
+
 def test_long_circuit_equiv_is_a_verdict(capsys, tmp_path):
     circ = tmp_path / "long.circ"
     circ.write_text("qubits 2\n" + "h 0\ncx 0 1\n" * 300, encoding="utf-8")
@@ -216,19 +249,32 @@ def test_long_chain_parses_and_typechecks(capsys, tmp_path):
     assert (code, out.strip()) == (0, "2 <-> 2")
 
 
-def test_nesting_limit_exit_code(capsys, tmp_path):
+def test_nesting_limit_exit_code(capsys, tmp_path, monkeypatch):
     from sqrtpi.lang import MAX_NESTING
 
+    v = tmp_path / "v.term"
+    v.write_text("v", encoding="utf-8")
     for depth, want in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2), (600, 2)):
         term = tmp_path / f"deep{depth}.term"
         term.write_text("(" * depth + "v" + ")" * depth, encoding="utf-8")
-        code, out, err = run(capsys, "typecheck", str(term))
-        assert code == want, depth
-        if want == 0:
-            assert out.strip() == "2 <-> 2"
-        else:
-            assert err.startswith("error: ") and "nesting deeper" in err
-            assert len(err.splitlines()) == 1
+        deep_type = "(" * depth + "2" + ")" * depth + " <-> 2"
+        catalog = tmp_path / f"deep{depth}.txt"
+        catalog.write_text(f"sqrtpi-rules 1\nrule deep\nlhs {term.read_text()}\n"
+                           "rhs v\ncheck v == v\nend\n", encoding="utf-8")
+        for argv in (["parse", term], ["typecheck", term], ["eval", term],
+                     ["equiv", term, v], ["equiv", v, term], ["simplify", term],
+                     ["typecheck", v, "--type", deep_type], ["check-rules"]):
+            if argv[0] == "check-rules":
+                monkeypatch.setenv("SQRTPI_RULE_CATALOG", str(catalog))
+            code, out, err = run(capsys, *map(str, argv))
+            assert code == want, (depth, argv)
+            if want == 0:
+                assert err == ""
+                if argv[0] == "typecheck":
+                    assert out.strip() == "2 <-> 2"
+            else:
+                assert err.startswith("error: ") and "nesting deeper" in err, argv
+                assert len(err.splitlines()) == 1
 
 
 def test_recursion_error_is_a_diagnostic(capsys, monkeypatch):
@@ -355,6 +401,16 @@ def test_dimension_limit_exit_code(capsys, tmp_path, monkeypatch):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "exceeds" in err
         assert len(err.splitlines()) == 1
+    # a catalog instance too large to evaluate is undecided, not a failed rule
+    wide = "(id : " + "*".join(["2"] * 11) + " <-> " + "*".join(["2"] * 11) + ")"
+    catalog = tmp_path / "wide.txt"
+    catalog.write_text(f"sqrtpi-rules 1\nrule wide\nlhs v\nrhs v\ncheck {wide} == {wide}\nend\n",
+                       encoding="utf-8")
+    monkeypatch.setenv("SQRTPI_RULE_CATALOG", str(catalog))
+    code, out, err = run(capsys, "check-rules")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rule wide instance 0: ") and "exceeds" in err
+    assert len(err.splitlines()) == 1
 
 
 # primitives and gate names that the seeded ill-typed inputs are built from

@@ -1,0 +1,170 @@
+"""Term nodes are hash-consed: equal terms are one object.
+
+The cached ``strip_ann`` and ``term_size`` are checked against plain
+recursive versions coded here, and the intern table is checked not to keep
+nodes alive through a reference cycle.
+"""
+
+import gc
+import os
+import random
+
+from sqrtpi import lang
+from sqrtpi.circuits import Circuit, CircuitGate, compile_circuit
+from sqrtpi.gates import gate_macros, named_gate
+from sqrtpi.lang import (
+    BOOL,
+    ONE_T,
+    Ann,
+    MetaVar,
+    Prim,
+    Prod,
+    ProdC,
+    Seq,
+    SumC,
+    parse,
+    pretty,
+    seq,
+    strip_ann,
+)
+from sqrtpi.rewrite import check_equiv, rule_db, simplify, term_size, validate_rule
+from termgen import random_terms
+
+FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
+
+
+def seeded_circuit(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    names = [g for g, m in gate_macros().items() if m.qubits and m.qubits <= n]
+    gates = []
+    for _ in range(rng.randint(1, 8)):
+        g = rng.choice(names)
+        gates.append(CircuitGate(g, tuple(rng.sample(range(n), gate_macros()[g].qubits))))
+    return Circuit(n, tuple(gates))
+
+
+def corpus():
+    for term, _, _ in random_terms(seed=11, count=150):
+        yield term
+    for name in sorted(os.listdir(FILES)):
+        if name.endswith(".term"):
+            with open(os.path.join(FILES, name), encoding="utf-8") as f:
+                yield parse(f.read(), expand_macros=True)
+    for seed in range(30):
+        yield compile_circuit(seeded_circuit(seed))
+
+
+def subterms(t):
+    yield t
+    if isinstance(t, Seq):
+        kids = t.parts
+    elif isinstance(t, (SumC, ProdC)):
+        kids = (t.left, t.right)
+    elif isinstance(t, Ann):
+        kids = (t.term,)
+    else:
+        kids = ()
+    for k in kids:
+        yield from subterms(k)
+
+
+def ref_strip(t):
+    if isinstance(t, Ann):
+        return ref_strip(t.term)
+    if isinstance(t, Seq):
+        return seq(*[ref_strip(p) for p in t.parts])
+    if isinstance(t, (SumC, ProdC)):
+        return type(t)(ref_strip(t.left), ref_strip(t.right))
+    return t
+
+
+def ref_size(t):
+    if isinstance(t, Ann):
+        return ref_size(t.term)
+    if isinstance(t, Seq):
+        return len(t.parts) - 1 + sum(ref_size(p) for p in t.parts)
+    if isinstance(t, (SumC, ProdC)):
+        return 1 + ref_size(t.left) + ref_size(t.right)
+    return 1
+
+
+def test_equal_nodes_are_one_object():
+    assert Prim("v") is Prim("v")
+    assert MetaVar("v") is MetaVar("v") and MetaVar("v") is not Prim("v")
+    a = seq(Prim("v"), SumC(Ann(Prim("id"), ONE_T, ONE_T), Prim("w")))
+    b = seq(Prim("v"), SumC(Ann(Prim("id"), ONE_T, ONE_T), Prim("w")))
+    assert a is b and a == b and hash(a) == hash(b)
+    assert SumC(Prim("v"), Prim("w")) is not ProdC(Prim("v"), Prim("w"))
+    assert Ann(Prim("id"), BOOL, BOOL) is not Ann(Prim("id"), ONE_T, ONE_T)
+    assert named_gate("cx") is parse("cx", expand_macros=True)
+
+
+def test_parse_of_pretty_is_the_same_object():
+    for t in corpus():
+        assert parse(pretty(t)) is t, pretty(t)
+
+
+def test_cached_strip_and_size_match_the_recursive_definitions():
+    for t in corpus():
+        for sub in subterms(t):
+            assert strip_ann(sub) is ref_strip(sub)
+            assert term_size(sub) == ref_size(sub)
+            # a second call reads the cache
+            assert strip_ann(sub) is ref_strip(sub)
+            assert term_size(sub) == ref_size(sub)
+
+
+def test_repr_keeps_the_dataclass_form():
+    assert repr(Prim("v")) == "Prim(name='v')"
+    assert repr(MetaVar("c")) == "MetaVar(name='c')"
+    assert repr(seq(Prim("v"), Prim("w"))) == "Seq(parts=(Prim(name='v'), Prim(name='w')))"
+    assert repr(SumC(Prim("v"), Prim("w"))) == "SumC(left=Prim(name='v'), right=Prim(name='w'))"
+    assert repr(ProdC(Prim("v"), Prim("w"))) == "ProdC(left=Prim(name='v'), right=Prim(name='w'))"
+    assert (repr(Ann(Prim("id"), ONE_T, Prod(ONE_T, ONE_T)))
+            == "Ann(term=Prim(name='id'), src=One, tgt=Prod(left=One, right=One))")
+
+
+def test_cached_fields_make_no_cycle():
+    # with the cycle collector off, a node that refers to itself would stay
+    # in the table after its last outside reference is gone
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(lang._TERMS)
+        chain = seq(*[Prim("w")] * 37)
+        t = SumC(Ann(chain, ONE_T, ONE_T), ProdC(chain, Ann(Prim("v"), BOOL, BOOL)))
+        assert strip_ann(t) is SumC(chain, ProdC(chain, Prim("v")))
+        assert strip_ann(chain) is chain
+        assert term_size(t) == 1 + 73 + (1 + 73 + 1)  # a chain of 37 counts 37 + 36
+        assert len(lang._TERMS) > before
+        del t, chain
+        assert len(lang._TERMS) == before
+    finally:
+        gc.enable()
+
+
+def test_term_table_is_steady_across_repeated_commands():
+    circuit = compile_circuit(Circuit(3, (CircuitGate("h", (0,)), CircuitGate("cx", (0, 2)),
+                                          CircuitGate("h", (0,)), CircuitGate("ccx", (2, 1, 0)))))
+    other = compile_circuit(Circuit(3, (CircuitGate("ccx", (2, 1, 0)),)))
+    rules = [r for r in rule_db() if r.family in ("E", "A", "gates")]
+
+    def commands():
+        simplify(circuit, budget=16)
+        for r in rules:
+            validate_rule(r)
+        check_equiv(circuit, other)
+
+    gc.collect()
+    gc.disable()
+    try:
+        # each typecheck leaves cyclic garbage of its own (recursive closures)
+        # that holds terms until the collector runs; repeats find those terms
+        commands()
+        size = len(lang._TERMS)
+        for _ in range(3):
+            commands()
+            assert len(lang._TERMS) == size
+    finally:
+        gc.enable()
