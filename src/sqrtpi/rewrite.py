@@ -45,7 +45,16 @@ from .lang import (
     strip_ann,
     typecheck,
 )
-from .semantics import DimensionError, ExactMatrix, Verdict, equal_matrices, evaluate
+from .semantics import (
+    DimensionError,
+    ExactMatrix,
+    Verdict,
+    check_dimension,
+    equal_matrices,  # unused here; perfbench/tracing.py traces this name
+    equal_typed,
+    eval_typed,
+    evaluate,
+)
 
 
 class NoMatch(SqrtPiError):
@@ -522,10 +531,17 @@ def check_equiv(
     phase_mode: Literal["strict", "up_to_omega_power"] = "strict",
     expected: Optional[tuple[ValueType, ValueType]] = None,
 ) -> Verdict:
-    """Decide semantic equivalence by exact evaluation."""
+    """Decide semantic equivalence by exact evaluation.
+
+    ``equal_typed`` builds the parts of both sides' outermost chains through
+    one memo, so the gates the two sides share are built once, and compares
+    the two sides column by column: the first column that differs decides
+    not_equal without folding the rest.  In phase mode the first nonzero
+    entry fixes the phase.
+    """
     a = typecheck(t1, expected)
     b = typecheck(t2, (a.src, a.tgt))
-    return equal_matrices(evaluate(a), evaluate(b), phase_mode)
+    return equal_typed(a, b, phase_mode)
 
 
 # --- validation ---------------------------------------------------------------
@@ -560,8 +576,10 @@ def validate_rule(
         try:
             tl = typecheck(lhs)
             tr = typecheck(rhs, (tl.src, tl.tgt))
-            ml = evaluate(tl)
-            mr = evaluate(tr).times_omega_pow(rule.phase)
+            check_dimension(tl)
+            memo: dict = {}  # the two sides share their parts
+            ml = eval_typed(tl, memo)
+            mr = eval_typed(tr, memo).times_omega_pow(rule.phase)
             if ml == mr:
                 results.append(InstanceResult(i, True))
             else:
@@ -574,11 +592,19 @@ def validate_rule(
 
 
 def _first_diff(a: ExactMatrix, b: ExactMatrix) -> str:
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return f"entry ({i},{j}): {a[i, j]} != {b[i, j]}"
-    return "matrices differ in shape"
+    """The first entry, in row-major order, at which a and b differ.  Only
+    the columns that differ are searched: the first differing row of each."""
+    first = None
+    for j, (ca, cb) in enumerate(zip(a.columns, b.columns)):
+        if ca != cb:
+            da, db = dict(ca), dict(cb)  # no zero is stored: None stands for 0
+            i = min(r for r in da.keys() | db.keys() if da.get(r) != db.get(r))
+            if first is None or i < first[0]:
+                first = (i, j)
+    if first is None:
+        return "matrices differ in shape"
+    i, j = first
+    return f"entry ({i},{j}): {a[i, j]} != {b[i, j]}"
 
 
 # --- catalog ------------------------------------------------------------------

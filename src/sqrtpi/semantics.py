@@ -21,7 +21,7 @@ zero divisors: a product of stored entries is never zero, and only sums
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Iterable, Literal, Optional, Union
 
 from .exactnum import INV_SQRT2, ONE, ZERO, DyadicCyclotomic, omega_pow
 from .lang import (
@@ -157,29 +157,46 @@ class ExactMatrix:
         )
 
 
-def compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Matrix product a . b (a.cols must equal b.rows), column by column.
+def _times_column(acols: tuple, col: tuple) -> tuple:
+    """a . col, for a given by its columns ``acols`` and col a sparse column.
 
-    Column j of the product is a's columns weighted by column j of b.  A
-    product of nonzeros is never zero (the ring is an integral domain), so
-    a one-entry column of b just scales a column of a; only sums can cancel.
+    This is the one multiplication kernel: ``compose`` applies it to every
+    column of its right factor, and a ``Seq`` chain (in ``eval_typed`` and in
+    ``equal_typed``) pushes each column through its parts with it.  The
+    result is a's columns weighted by col's entries.  A product of nonzeros
+    is never zero (the ring is an integral domain), so a one-entry col just
+    scales a column of a, and by ONE leaves it as it is; only sums cancel.
     """
+    if len(col) == 1:
+        k, y = col[0]
+        if y is ONE:
+            return acols[k]
+        return tuple((i, x * y) for i, x in acols[k])
+    acc: dict[int, DyadicCyclotomic] = {}
+    for k, y in col:
+        for i, x in acols[k]:
+            p = x * y
+            acc[i] = acc[i] + p if i in acc else p
+    return tuple((i, acc[i]) for i in sorted(acc) if acc[i])
+
+
+def _chain_column(parts: list[ExactMatrix], j: int) -> tuple:
+    """Column j of the chain ``parts[0] ; parts[1] ; ...``, that is of the
+    product parts[-1] . ... . parts[0], folded front to back."""
+    col = parts[0].columns[j]
+    for p in parts[1:]:
+        col = _times_column(p.columns, col)
+    return col
+
+
+def compose(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Matrix product a . b (a.cols must equal b.rows), column by column:
+    column j of the product is a applied to column j of b."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     acols = a.columns
-    out = []
-    for bcol in b.columns:
-        if len(bcol) == 1:
-            k, y = bcol[0]
-            out.append(tuple((i, x * y) for i, x in acols[k]))
-            continue
-        acc: dict[int, DyadicCyclotomic] = {}
-        for k, y in bcol:
-            for i, x in acols[k]:
-                p = x * y
-                acc[i] = acc[i] + p if i in acc else p
-        out.append(tuple((i, acc[i]) for i in sorted(acc) if acc[i]))
-    return ExactMatrix._of_columns(a.rows, b.cols, tuple(out))
+    return ExactMatrix._of_columns(
+        a.rows, b.cols, tuple(_times_column(acols, col) for col in b.columns))
 
 
 def direct_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -223,6 +240,27 @@ class Verdict:
         return self.kind != "not_equal"
 
 
+def _compare_columns(pairs: Iterable[tuple[tuple, tuple]], phase_mode: str) -> Verdict:
+    """Verdict on a = w^k * b from the pairs (column j of a, column j of b),
+    taken in column order.
+
+    In phase mode the first nonzero entry of b fixes k, since when b != 0 at
+    most one k fits; in strict mode k is 0.  The first column that does not
+    fit decides not_equal, and the pairs after it are never drawn.
+    """
+    k = 0 if phase_mode == "strict" else None
+    for ca, cb in pairs:
+        if k is None and cb:
+            i, y = cb[0]
+            x = ca[0][1] if ca and ca[0][0] == i else ZERO
+            k = next((p for p in range(8) if x == y.times_omega_pow(p)), None)
+            if k is None:
+                return Verdict("not_equal")
+        if ca != (tuple((i, e.times_omega_pow(k)) for i, e in cb) if k else cb):
+            return Verdict("not_equal")
+    return Verdict("equal_with_phase", k) if k else Verdict("equal")
+
+
 def equal_matrices(
     a: ExactMatrix,
     b: ExactMatrix,
@@ -233,22 +271,7 @@ def equal_matrices(
         raise DimensionError(
             f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
-    if a == b:
-        return Verdict("equal")
-    if phase_mode == "strict":
-        return Verdict("not_equal")
-    # when b != 0 at most one k fits, so any nonzero entry of b names it
-    for j, col in enumerate(b.columns):
-        if col:
-            i, y = col[0]
-            x = a[i, j]
-            for k in range(1, 8):
-                if x == y.times_omega_pow(k):
-                    if a == b.times_omega_pow(k):
-                        return Verdict("equal_with_phase", k)
-                    return Verdict("not_equal")
-            return Verdict("not_equal")
-    return Verdict("not_equal")  # b == 0 but a != b
+    return _compare_columns(zip(a.columns, b.columns), phase_mode)
 
 
 # --- denotations of primitives ---------------------------------------------
@@ -314,15 +337,31 @@ def _prim_matrix(name: str, src: ValueType, tgt: ValueType) -> ExactMatrix:
     raise SqrtPiError(f"no denotation for primitive {name!r}")
 
 
+def check_dimension(t: Typed) -> None:
+    """Raise DimensionError if t's type has more than MAX_DIMENSION basis
+    states.  Every entry point calls it before any matrix is built; then
+    every subterm that is evaluated is at most that large, since all terms
+    denote isomorphisms and the factors of a 0-dimensional product are
+    skipped."""
+    for ty in (t.src, t.tgt):
+        d = dimension(ty)
+        if d > MAX_DIMENSION:
+            raise DimensionError(
+                f"dimension {d} exceeds the evaluation limit of {MAX_DIMENSION}"
+            )
+
+
 def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     """Denotation of a typed combinator.
 
-    The memo table is per-call and keyed on the Typed node's identity:
-    equal subterms are one object and ``typecheck`` makes one Typed per
-    (subterm, src, tgt), so every repeated subterm evaluates once.
+    The memo table is per-call and keyed on ``(t.term, t.src, t.tgt)``: a
+    term and its ground types determine its denotation, and all three are
+    hash-consed, so the key hashes without walking a tree.  Every repeated
+    subterm evaluates once, also across two ``typecheck`` results that
+    share a memo.
     """
     memo = _memo if _memo is not None else {}
-    key = id(t)
+    key = (t.term, t.src, t.tgt)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -333,9 +372,10 @@ def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
         m = eval_typed(t.children[0], memo)
     elif isinstance(term, Seq):
         # front to back: each part acts on the product of the ones before it
-        m = eval_typed(t.children[0], memo)
-        for part in t.children[1:]:
-            m = compose(eval_typed(part, memo), m)
+        parts = [eval_typed(part, memo) for part in t.children]
+        m = ExactMatrix._of_columns(
+            parts[-1].rows, parts[0].cols,
+            tuple(_chain_column(parts, j) for j in range(parts[0].cols)))
     elif isinstance(term, SumC):
         m = direct_sum(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
     elif isinstance(term, ProdC):
@@ -357,21 +397,43 @@ def evaluate(
     c: Union[Combinator, Typed],
     expected: Optional[tuple[ValueType, ValueType]] = None,
 ) -> ExactMatrix:
-    """Typecheck (if needed) and evaluate a combinator.
-
-    Raises DimensionError before any matrix is built if the term's type has
-    more than MAX_DIMENSION basis states.  Every subterm that is evaluated
-    is at most that large: all terms denote isomorphisms, and the factors of
-    a 0-dimensional product are skipped.
-    """
+    """Typecheck (if needed) and evaluate a combinator; ``check_dimension``
+    refuses a type too large to evaluate before any matrix is built."""
     t = c if isinstance(c, Typed) else typecheck(c, expected)
-    for ty in (t.src, t.tgt):
-        d = dimension(ty)
-        if d > MAX_DIMENSION:
-            raise DimensionError(
-                f"dimension {d} exceeds the evaluation limit of {MAX_DIMENSION}"
-            )
+    check_dimension(t)
     return eval_typed(t)
+
+
+def _chain_parts(t: Typed) -> list[Typed]:
+    """The parts of t's outermost ``;`` chain (t itself if it is no chain),
+    under annotations."""
+    while isinstance(t.term, Ann):
+        t = t.children[0]
+    return list(t.children) if isinstance(t.term, Seq) else [t]
+
+
+def equal_typed(
+    a: Typed,
+    b: Typed,
+    phase_mode: Literal["strict", "up_to_omega_power"] = "strict",
+) -> Verdict:
+    """Exact comparison of two typed terms of one type, as ``equal_matrices``
+    of their denotations, without building either denotation whole.
+
+    The parts of both outermost chains are evaluated through one memo, so a
+    part the two sides share is built once.  Then column j of each side is
+    folded through its parts, and the two are compared before column j + 1
+    is folded: the first column that differs decides not_equal.
+    """
+    check_dimension(a)
+    shape_a, shape_b = ((dimension(t.tgt), dimension(t.src)) for t in (a, b))
+    if shape_a != shape_b:
+        raise DimensionError("cannot compare {}x{} with {}x{}".format(*shape_a, *shape_b))
+    memo: dict = {}
+    pa = [eval_typed(p, memo) for p in _chain_parts(a)]
+    pb = [eval_typed(p, memo) for p in _chain_parts(b)]
+    columns = ((_chain_column(pa, j), _chain_column(pb, j)) for j in range(pa[0].cols))
+    return _compare_columns(columns, phase_mode)
 
 
 # --- display ---------------------------------------------------------------
