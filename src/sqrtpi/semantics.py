@@ -417,7 +417,8 @@ def equal_typed(
     b: Typed,
     phase_mode: Literal["strict", "up_to_omega_power"] = "strict",
 ) -> Verdict:
-    """Exact comparison of two typed terms of one type, as ``equal_matrices``
+    """Exact comparison of two typed terms of one type (b must have a's
+    ``src`` and ``tgt``, as ``check_equiv`` ensures), as ``equal_matrices``
     of their denotations, without building either denotation whole.
 
     The parts of both outermost chains are evaluated through one memo, so a
@@ -426,9 +427,6 @@ def equal_typed(
     is folded: the first column that differs decides not_equal.
     """
     check_dimension(a)
-    shape_a, shape_b = ((dimension(t.tgt), dimension(t.src)) for t in (a, b))
-    if shape_a != shape_b:
-        raise DimensionError("cannot compare {}x{} with {}x{}".format(*shape_a, *shape_b))
     memo: dict = {}
     pa = [eval_typed(p, memo) for p in _chain_parts(a)]
     pb = [eval_typed(p, memo) for p in _chain_parts(b)]
