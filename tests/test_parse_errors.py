@@ -111,6 +111,8 @@ def _hand_written() -> list[str]:
         "((v ; w)) ; ((v ; w)) ; ((v ; w) ; h)",
         "(v ; w) ; (v ; w\n) ; (v ;\n w) ; (v ; w\n",
         "(v ; w) # (v ; w\n ; (v ; w) ; ( v ; w ) ; (v;w)) ; (",
+        # the same tokens read as a type and then as a term, and the reverse
+        "(v : (2) <-> 2) ; (2)", "(v) ; v : (v) <-> 2", "(h) ; v : (h) <-> 2",
     ]
 
 
