@@ -27,12 +27,14 @@ macro expansion is requested.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import operator
 import re
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +383,87 @@ class UnresolvedMetavariable(TypeCheckError):
 # overflow here or in the recursive passes after parsing.  ";" does not nest.
 MAX_NESTING = 100
 
+# Group 1 is the next token after any whitespace and comments, and "" at the
+# end of the input.  A character that starts no token is a token of its own,
+# which _tokenize rejects.  Compound names (swap+ ...) must come before names
+# and the catch-all "." last; no other two alternatives match at the same
+# place, so the most frequent tokens are tried first.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<arrow><->)
-      | (?P<compound>(?:swap|assocr|assocl|unite|uniti)[+*][lr]?)
-      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<num>\d+)
-      | (?P<meta>\?[A-Za-z][A-Za-z0-9_]*)
-      | (?P<sym>[;+*():,=])
-      | (?P<bad>.)
-    """,
+    r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+        ( [;+*():,=] | (?:swap|assocr|assocl|unite|uniti)[+*][lr]?
+        | [A-Za-z][A-Za-z0-9_]* | <-> | \d+ | \?[A-Za-z][A-Za-z0-9_]*
+        | . | \Z )""",
     re.VERBOSE | re.DOTALL,
 )
+_ONE_CHAR_TOKEN = re.compile(r"[A-Za-z\d;+*():,=]")
+_TYPE_LITERALS = {"0": ZERO_T, "1": ONE_T, "2": BOOL}
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset in the input; line and column are computed on error
-
-
-def _parse_error(text: str, pos: int, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
+def _parse_error(text: str, i: int, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """The error at token i; its offset is found again only now."""
+    pos = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
     line = text.count("\n", 0, pos) + 1
     return ParseError(msg, line, pos - text.rfind("\n", 0, pos), expected)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for m in _TOKEN_RE.finditer(text):  # every character matches some group
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _parse_error(text, m.start(), f"unexpected character {m.group()!r}")
-        if kind != "ws" and kind != "comment":
-            toks.append(_Tok("name" if kind == "compound" else kind, m.group(), m.start()))
-    toks.append(_Tok("eof", "", len(text)))
-    return toks
+class _GroupMemo:
+    """The parenthesized groups read by one parse call, or by every call
+    inside one shared_groups() block.  ``ids`` numbers each distinct group
+    content (its tokens, with each inner group replaced by its number), so
+    groups with equal token slices get one number, in time linear in the
+    tokens.  ``nodes`` maps (number, context) to the node of a group that
+    parsed and the nesting depth it reached, counted from outside its "("."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.nodes: dict[tuple, tuple] = {}
+
+
+_SHARED = threading.local()
+
+
+@contextlib.contextmanager
+def shared_groups():
+    """Let the parse calls on this thread inside the block share one group
+    memo, so a group read by an earlier call is not read again."""
+    outer = getattr(_SHARED, "memo", None)
+    _SHARED.memo = outer or _GroupMemo()
+    try:
+        yield
+    finally:
+        _SHARED.memo = outer
+
+
+def _tokenize(text: str, ids: dict[tuple, int]) -> tuple[list[str], dict[int, tuple[int, int]]]:
+    """The tokens of text, ending in "", and for each "(" that has a ")" the
+    index of that ")" and the number of the group's content."""
+    toks = _TOKEN_RE.findall(text)
+    bad = [t for t in set(toks) if len(t) == 1 and not _ONE_CHAR_TOKEN.match(t)]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise _parse_error(text, i, f"unexpected character {toks[i]!r}")
+    matched: dict[int, tuple[int, int]] = {}
+    stack: list[tuple[int, list]] = []  # open groups: index of "(", outer content
+    content: list = []
+    for i, t in enumerate(toks):
+        if t == "(":
+            stack.append((i, content))
+            content = []
+        elif t == ")" and stack:
+            start, outer = stack.pop()
+            gid = ids.setdefault(tuple(content), len(ids))
+            matched[start] = (i, gid)
+            outer.append(gid)
+            content = outer
+        else:
+            content.append(t)
+    return toks, matched
 
 
 class _Parser:
+    """Recursive descent over a flat token list; ``i`` indexes the current
+    token, and an error finds its offset again (see _parse_error)."""
+
     def __init__(
         self,
         text: str,
@@ -427,136 +471,138 @@ class _Parser:
         allow_metavars: bool = False,
     ):
         self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.memo = getattr(_SHARED, "memo", None) or _GroupMemo()
+        self.toks, self.matched = _tokenize(text, self.memo.ids)
+        self.i = 0
         self.macros = macros
         self.allow_metavars = allow_metavars
+        self.context = (macros is not None, allow_metavars)  # of term groups
         self.depth = 0
+        self.peak = 0  # deepest level reached in the innermost open group
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def _advance(self) -> _Tok:
-        t = self.cur
-        self.pos += 1
-        return t
-
-    def _error(self, msg: str, t: Optional[_Tok] = None,
+    def _error(self, msg: str, i: Optional[int] = None,
                expected: tuple[str, ...] = ()) -> ParseError:
-        return _parse_error(self.text, (self.cur if t is None else t).pos, msg, expected)
+        return _parse_error(self.text, self.i if i is None else i, msg, expected)
 
     def _unexpected(self, expected: tuple[str, ...], where: str = "") -> ParseError:
-        t = self.cur
-        msg = "unexpected end of input" if t.kind == "eof" else f"unexpected {t.text!r}{where}"
+        t = self.toks[self.i]
+        msg = f"unexpected {t!r}{where}" if t else "unexpected end of input"
         return self._error(msg, expected=expected)
 
-    def _expect(self, text: str) -> _Tok:
-        if self.cur.text != text:
+    def _expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
             raise self._unexpected((repr(text),))
-        return self._advance()
+        self.i += 1
 
     def _end(self) -> None:
-        if self.cur.kind != "eof":
-            raise self._error(f"trailing input {self.cur.text!r}")
+        if self.toks[self.i]:
+            raise self._error(f"trailing input {self.toks[self.i]!r}")
 
-    def _nested(self, parse):
+    def _deeper(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self._error(f"nesting deeper than {MAX_NESTING} levels")
-        out = parse()
+        if self.depth > self.peak:
+            self.peak = self.depth
+
+    def _sum(self, operand, make_sum, make_prod):
+        """prod ("+" prod)* with prod ::= operand ("*" operand)*, each chain
+        folded to the right; the k-th right operand of a chain is k levels
+        deeper than its first operand.  Loops, not recursion, so that a level
+        of nesting costs few Python frames."""
+        sums = []
+        while True:
+            prods = [operand()]
+            while self.toks[self.i] == "*":
+                self.i += 1
+                self._deeper()
+                prods.append(operand())
+            sums.append(self._fold(prods, make_prod))
+            if self.toks[self.i] != "+":
+                return self._fold(sums, make_sum)
+            self.i += 1
+            self._deeper()
+
+    def _fold(self, parts: list, make):
+        self.depth -= len(parts) - 1
+        node = parts.pop()
+        while parts:
+            node = make(parts.pop(), node)
+        return node
+
+    def _group(self, inner, context):
+        """"(" inner ")", or the node of an equal group read before, unless
+        reusing it would cross MAX_NESTING here (then the parse raises)."""
+        start = self.i
+        match = self.matched.get(start)
+        if match is not None:
+            key = (match[1], context)
+            hit = self.memo.nodes.get(key)
+            if hit is not None and self.depth + hit[1] <= MAX_NESTING:
+                self.i = match[0] + 1
+                self.peak = max(self.peak, self.depth + hit[1])
+                return hit[0]
+        outer_peak, self.peak = self.peak, self.depth
+        self.i = start + 1
+        self._deeper()
+        node = inner()
+        self._expect(")")
         self.depth -= 1
-        return out
+        if match is not None:
+            self.memo.nodes[key] = (node, self.peak - self.depth)
+        self.peak = max(outer_peak, self.peak)
+        return node
 
     # terms
 
     def term(self) -> Combinator:
-        t = self.seq()
-        if self.cur.text == ":":
-            self._advance()
+        parts = [self._sum(self.atom, SumC, ProdC)]
+        while self.toks[self.i] == ";":
+            self.i += 1
+            parts.append(self._sum(self.atom, SumC, ProdC))
+        t = seq(*parts)
+        if self.toks[self.i] == ":":
+            self.i += 1
             src = self.type_()
             self._expect("<->")
-            tgt = self.type_()
-            return Ann(t, src, tgt)
+            return Ann(t, src, self.type_())
         return t
 
-    def seq(self) -> Combinator:
-        parts = [self.sum()]
-        while self.cur.text == ";":
-            self._advance()
-            parts.append(self.sum())
-        return seq(*parts)
-
-    def sum(self) -> Combinator:
-        left = self.prod()
-        if self.cur.text == "+":
-            self._advance()
-            return SumC(left, self._nested(self.sum))
-        return left
-
-    def prod(self) -> Combinator:
-        left = self.atom()
-        if self.cur.text == "*":
-            self._advance()
-            return ProdC(left, self._nested(self.prod))
-        return left
-
     def atom(self) -> Combinator:
-        t = self.cur
-        if t.text == "(":
-            self._advance()
-            inner = self._nested(self.term)
-            self._expect(")")
-            return inner
-        if t.kind == "meta":
+        t = self.toks[self.i]
+        if t == "(":
+            return self._group(self.term, self.context)
+        if t[:1] == "?":
             if not self.allow_metavars:
                 raise self._error("pattern variable outside a pattern")
-            self._advance()
-            return MetaVar(t.text[1:])
-        if t.kind == "name":
-            self._advance()
-            if t.text in SCHEMES:
-                return Prim(t.text)
-            if self.macros is not None and t.text in self.macros:
-                return self.macros[t.text]
+            self.i += 1
+            return MetaVar(t[1:])
+        if t[:1].isalpha():
+            self.i += 1
+            if t in SCHEMES:
+                return Prim(t)
+            if self.macros is not None and t in self.macros:
+                return self.macros[t]
             hint = ("a primitive or gate name",) if self.macros is not None else (
                 "a primitive name (pass expand_macros=True for gate names)",
             )
-            raise self._error(f"unknown name {t.text!r}", t, hint)
+            raise self._error(f"unknown name {t!r}", self.i - 1, hint)
         raise self._unexpected(("name", "'('", "'?var'"))
 
     # types
 
     def type_(self) -> ValueType:
-        left = self.tprod()
-        if self.cur.text == "+":
-            self._advance()
-            return Sum(left, self._nested(self.type_))
-        return left
-
-    def tprod(self) -> ValueType:
-        left = self.tatom()
-        if self.cur.text == "*":
-            self._advance()
-            return Prod(left, self._nested(self.tprod))
-        return left
+        return self._sum(self.tatom, Sum, Prod)
 
     def tatom(self) -> ValueType:
-        t = self.cur
-        if t.text == "(":
-            self._advance()
-            inner = self._nested(self.type_)
-            self._expect(")")
-            return inner
-        if t.kind == "num":
-            self._advance()
-            if t.text == "0":
-                return ZERO_T
-            if t.text == "1":
-                return ONE_T
-            if t.text == "2":
-                return BOOL
-            raise self._error(f"unknown type literal {t.text!r}", t, ("0", "1", "2"))
+        t = self.toks[self.i]
+        if t == "(":
+            return self._group(self.type_, None)
+        if t[:1].isdecimal():  # \d+, as the token pattern reads it
+            self.i += 1
+            if t in _TYPE_LITERALS:
+                return _TYPE_LITERALS[t]
+            raise self._error(f"unknown type literal {t!r}", self.i - 1, ("0", "1", "2"))
         raise self._unexpected(("0", "1", "2", "'('"), " in type")
 
 
@@ -814,11 +860,6 @@ def typecheck(
             raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
         raise TypeError(f"cannot typecheck {node!r}")
 
-    src, tgt = infer(c)
-    if expected is not None:
-        u.unify(src, expected[0], c)
-        u.unify(tgt, expected[1], c)
-
     # Top down, in preorder, so the first node left open is the one reported.
     # A node's children get their types from its own (ground) types and, for
     # a Seq, its bounds.  Outside shared nodes the bounds are grounded through
@@ -863,10 +904,20 @@ def typecheck(
             built[memo_key] = typed
         return typed
 
-    src, tgt = _ground(src, root_env), _ground(tgt, root_env)
-    if src is None or tgt is None:
-        raise UnresolvedMetavariable(c)
-    return build(c, src, tgt, root_env)
+    # infer, infer_node and build reach themselves through closure cells, a
+    # cycle that would hold every table above until the cycle collector ran;
+    # emptying the cells on the way out lets reference counting free them.
+    try:
+        src, tgt = infer(c)
+        if expected is not None:
+            u.unify(src, expected[0], c)
+            u.unify(tgt, expected[1], c)
+        src, tgt = _ground(src, root_env), _ground(tgt, root_env)
+        if src is None or tgt is None:
+            raise UnresolvedMetavariable(c)
+        return build(c, src, tgt, root_env)
+    finally:
+        del infer, infer_node, build
 
 
 def strip_ann(c: Combinator) -> Combinator:

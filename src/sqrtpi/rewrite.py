@@ -42,6 +42,7 @@ from .lang import (
     parse,
     pretty,
     seq,
+    shared_groups,
     strip_ann,
     typecheck,
 )
@@ -670,12 +671,21 @@ def _parse_check(text: str) -> tuple[Combinator, Combinator]:
 
 
 def load_catalog(text: str) -> tuple[RewriteRule, ...]:
+    """The rules of a catalog in the text form of catalog_text().  Every
+    pattern is parsed through one group memo, so a parenthesized subterm
+    that recurs across lines is read once."""
+    with shared_groups():
+        return _load_catalog(text)
+
+
+def _load_catalog(text: str) -> tuple[RewriteRule, ...]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CATALOG_VERSION:
         raise CatalogError(
             f"catalog must start with {CATALOG_VERSION!r}"
         )
     rules: list[RewriteRule] = []
+    names: set[str] = set()
     cur: Optional[dict] = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -687,8 +697,9 @@ def load_catalog(text: str) -> tuple[RewriteRule, ...]:
             if key == "rule":
                 if cur is not None:
                     raise CatalogError("nested rule block")
-                if any(r.name == rest for r in rules):
+                if rest in names:
                     raise CatalogError(f"duplicate rule {rest!r}")
+                names.add(rest)
                 cur = {"name": rest, "checks": [], "flags": [], "phase": 0,
                        "family": "?", "qubits": None, "side": None}
             elif cur is None:

@@ -8,6 +8,7 @@ nodes alive through a reference cycle.
 import gc
 import os
 import random
+import weakref
 
 from sqrtpi import lang
 from sqrtpi.circuits import Circuit, CircuitGate, compile_circuit
@@ -26,6 +27,7 @@ from sqrtpi.lang import (
     pretty,
     seq,
     strip_ann,
+    typecheck,
 )
 from sqrtpi.rewrite import check_equiv, rule_db, simplify, term_size, validate_rule
 from termgen import random_terms
@@ -105,6 +107,17 @@ def test_parse_of_pretty_is_the_same_object():
         assert parse(pretty(t)) is t, pretty(t)
 
 
+def test_parse_of_a_wide_compiled_circuit_is_the_same_object():
+    # every gate on the last wires, then ccx across the register: the printed
+    # tree repeats the same SWAP and identity groups thousands of times
+    n = 60
+    gates = [CircuitGate(g, tuple(range(n - m.qubits, n)))
+             for g, m in sorted(gate_macros().items()) if m.qubits]
+    gates += [CircuitGate("ccx", (2, 1, 0)), CircuitGate("ccx", (0, n - 1, n // 2))]
+    c = compile_circuit(Circuit(n, tuple(gates)))
+    assert parse(pretty(c)) is c
+
+
 def test_cached_strip_and_size_match_the_recursive_definitions():
     for t in corpus():
         for sub in subterms(t):
@@ -144,6 +157,24 @@ def test_cached_fields_make_no_cycle():
         gc.enable()
 
 
+def test_typecheck_leaves_no_cycle():
+    # typecheck's recursive closures reach themselves through their cells;
+    # with the cycle collector off, those cells would keep the term and the
+    # typed tree alive after the last outside reference is gone
+    gc.collect()
+    gc.disable()
+    try:
+        term = parse("(vi ; swap+ ; vi) * (swap+ ; vi ; swap+)")  # in no other test
+        nodes = [weakref.ref(n) for n in (term, term.left, term.right)]
+        typed = typecheck(term)
+        assert typed.src is Prod(BOOL, BOOL)
+        del term, typed
+        assert [n() for n in nodes] == [None, None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_term_table_is_steady_across_repeated_commands():
     circuit = compile_circuit(Circuit(3, (CircuitGate("h", (0,)), CircuitGate("cx", (0, 2)),
                                           CircuitGate("h", (0,)), CircuitGate("ccx", (2, 1, 0)))))
@@ -159,8 +190,7 @@ def test_term_table_is_steady_across_repeated_commands():
     gc.collect()
     gc.disable()
     try:
-        # each typecheck leaves cyclic garbage of its own (recursive closures)
-        # that holds terms until the collector runs; repeats find those terms
+        # the first run builds the terms that the repeats find again
         commands()
         size = len(lang._TERMS)
         for _ in range(3):

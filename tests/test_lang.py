@@ -125,6 +125,44 @@ def test_parse_nesting_limit_counts_parens_operators_and_types():
             parse(text)
 
 
+def test_reused_group_crossing_the_nesting_limit_fails_as_a_first_read():
+    # the group is read at depth 0 first; its parse is not reused where it
+    # would cross the limit, so the error names the token a first read names
+    group = "(" * 50 + "v ; w" + ")" * 50
+    deep = ["(" * 51 + group + ")" * 51, " * ".join(["w"] * 51 + [group])]
+    for text in deep:
+        with pytest.raises(ParseError, match="nesting deeper") as first:
+            parse(text)
+        with pytest.raises(ParseError) as reused:
+            parse(f"{group} ;\n{text}")
+        assert (reused.value.line, reused.value.col) == (2, first.value.col)
+        assert str(reused.value) == f"2{str(first.value)[1:]}"
+    at_limit = "(" * 50 + group + ")" * 50
+    assert parse(f"{group} ;\n{at_limit}") is seq(*[Prim("v"), Prim("w")] * 2)
+    # the same across the lines of one catalog load
+    from sqrtpi.rewrite import CatalogError, load_catalog
+
+    catalog = "\n".join(["sqrtpi-rules 1", "rule a", f"lhs {group}", "rhs v ; w",
+                          "check v ; w == v ; w", "end", "rule b", f"lhs {deep[0]}"])
+    with pytest.raises(ParseError) as first:
+        parse(deep[0])
+    with pytest.raises(CatalogError) as reused:
+        load_catalog(catalog)
+    assert str(reused.value) == f"line 8: {first.value}"
+
+
+def test_shared_group_memo_keeps_parse_options_apart():
+    from sqrtpi.lang import MetaVar, shared_groups
+
+    with shared_groups():
+        assert parse("(?f ; v)", allow_metavars=True) is seq(MetaVar("f"), Prim("v"))
+        with pytest.raises(ParseError, match="pattern variable outside a pattern"):
+            parse("(?f ; v)")
+        assert parse("(h ; v)", expand_macros=True) is parse("h ; v", expand_macros=True)
+        with pytest.raises(ParseError, match="unknown name 'h'"):
+            parse("(h ; v)")
+
+
 def test_parse_comments():
     assert parse("v ; v  # square root of not, twice") == seq(Prim("v"), Prim("v"))
 

@@ -34,6 +34,7 @@ from sqrtpi.lang import (
     strip_ann,
 )
 from sqrtpi.rewrite import (
+    CatalogError,
     NoMatch,
     PathInvalid,
     RewriteRule,
@@ -317,18 +318,47 @@ def test_trace_json():
 def test_catalog_round_trip():
     db = rule_db()
     text = catalog_text(db)
-    loaded = load_catalog(text)
-    assert len(loaded) == len(db)
-    for a, b in zip(db, loaded):
-        assert a.name == b.name
-        assert a.family == b.family
-        assert a.phase == b.phase
-        assert strip_ann(a.lhs) == strip_ann(b.lhs)
-        assert strip_ann(a.rhs) == strip_ann(b.rhs)
-        assert len(a.checks) == len(b.checks)
+    # the same rules in another order: a group first read in a later block
+    head, *blocks = text.split("\n\nrule ")
+    random.Random(5).shuffle(blocks)
+    shuffled = head + "".join("\n\nrule " + b.rstrip("\n") for b in blocks) + "\n"
+    by_name = {r.name: r for r in db}
+    for source in (text, shuffled):
+        loaded = load_catalog(source)
+        assert sorted(r.name for r in loaded) == sorted(by_name)
+        for b in loaded:
+            a = by_name[b.name]
+            assert (a.family, a.phase, a.oriented, a.normalizing, a.qubits) == (
+                b.family, b.phase, b.oriented, b.normalizing, b.qubits)
+            # every pattern loads to the built-in node itself
+            assert b.lhs is a.lhs and b.rhs is a.rhs, a.name
+            assert len(a.checks) == len(b.checks)
+            for (al, ar), (bl, br) in zip(a.checks, b.checks):
+                assert bl is al and br is ar, a.name
+    assert catalog_text(load_catalog(shuffled)) != text
+    assert catalog_text(load_catalog(text)) == text
     # loaded rules revalidate
-    for r in loaded[:10]:
+    for r in load_catalog(text)[:10]:
         assert validate_rule(r).passed, r.name
+
+
+def test_catalog_check_rules_output_matches_built_in(capsys, tmp_path, monkeypatch):
+    from sqrtpi.cli import main
+
+    assert main(["check-rules"]) == 0
+    built_in = capsys.readouterr()
+    path = tmp_path / "rules.txt"
+    path.write_text(catalog_text(), encoding="utf-8")
+    monkeypatch.setenv("SQRTPI_RULE_CATALOG", str(path))
+    assert main(["check-rules"]) == 0
+    loaded = capsys.readouterr()
+    assert (loaded.out, loaded.err) == (built_in.out, built_in.err)
+
+
+def test_catalog_duplicate_rule_name():
+    text = catalog_text([r for r in rule_db() if r.name in ("E1", "E2")])
+    with pytest.raises(CatalogError, match="^line 22: duplicate rule 'E1'$"):
+        load_catalog(text + text.split("\n", 2)[2])
 
 
 def test_catalog_rejects_bad_version():
