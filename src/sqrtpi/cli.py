@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .circuits import compile_circuit, parse_circuit
+from .circuits import Circuit, compile_circuit, parse_circuit
 from .lang import Combinator, SqrtPiError, parse, parse_type_pair, pretty, type_str, typecheck
 from .rewrite import (
     catalog_text,
@@ -39,11 +39,19 @@ def _read(path: str) -> str:
         raise SqrtPiError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from e
 
 
-def _load_term(path: str, expand_macros: bool) -> Combinator:
+def _load(path: str, expand_macros: bool) -> Circuit | Combinator:
     text = _read(path)
     if path.endswith(".circ"):
-        return compile_circuit(parse_circuit(text))
+        return parse_circuit(text)
     return parse(text, expand_macros=expand_macros)
+
+
+def _term(artifact: Circuit | Combinator) -> Combinator:
+    return compile_circuit(artifact) if isinstance(artifact, Circuit) else artifact
+
+
+def _load_term(path: str, expand_macros: bool) -> Combinator:
+    return _term(_load(path, expand_macros))
 
 
 def _expected(args) -> tuple | None:
@@ -79,8 +87,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    t1 = _load_term(args.left, args.expand_macros)
-    t2 = _load_term(args.right, args.expand_macros)
+    left = _load(args.left, args.expand_macros)
+    right = _load(args.right, args.expand_macros)
+    if (isinstance(left, Circuit) and isinstance(right, Circuit)
+            and left.n_qubits != right.n_qubits):
+        raise SqrtPiError(f"{args.left} has {left.n_qubits} qubits and {args.right} has "
+                          f"{right.n_qubits}; equiv compares circuits of equal width")
+    t1, t2 = _term(left), _term(right)
     mode = "up_to_omega_power" if args.phase else "strict"
     verdict = check_equiv(t1, t2, mode, _expected(args))
     print(verdict)

@@ -180,10 +180,12 @@ _SELF = object()  # the _bare of a node without annotations
 
 class _Node:
     """Base of the interned term nodes; == and hash are identity.  ``_bare``
-    caches strip_ann (never the node itself, which would be a cycle) and
-    ``_size`` caches rewrite.term_size (0 until computed)."""
+    caches strip_ann (never the node itself, which would be a cycle),
+    ``_size`` caches rewrite.term_size (0 until computed) and ``_scheme``
+    the principal type that typecheck inferred (None until an inference
+    succeeds; types only, see typecheck)."""
 
-    __slots__ = ("_bare", "_size", "__weakref__")
+    __slots__ = ("_bare", "_size", "_scheme", "__weakref__")
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -195,7 +197,7 @@ class _Node:
                     node = object.__new__(cls)
                     for name, value in zip(cls._fields, args, strict=True):
                         setattr(node, name, value)
-                    node._bare, node._size = None, 0
+                    node._bare, node._size, node._scheme = None, 0, None
                     _TERMS[key] = node
         return node
 
@@ -656,6 +658,8 @@ class Typed:
 
 
 class _Unifier:
+    """The substitution and fresh-variable counter of one typecheck call."""
+
     def __init__(self) -> None:
         self.subst: dict[int, ValueType] = {}
         self.counter = 0
@@ -665,8 +669,18 @@ class _Unifier:
         return TVar(self.counter)
 
     def find(self, t: ValueType) -> ValueType:
-        while isinstance(t, TVar) and t.id in self.subst:
-            t = self.subst[t.id]
+        """The representative of t.  The variables on the way are bound to
+        it, so a chain of variables (one per part of a long ``id ; id ; ...``)
+        is walked once."""
+        subst = self.subst
+        if not isinstance(t, TVar) or t.id not in subst:
+            return t
+        path = []
+        while isinstance(t, TVar) and t.id in subst:
+            path.append(t.id)
+            t = subst[t.id]
+        for v in path:
+            subst[v] = t
         return t
 
     def resolve(self, t: ValueType) -> ValueType:
@@ -718,6 +732,45 @@ class _Unifier:
             return mapping[t.id]
         return type(t)(self.instantiate(t.left, mapping), self.instantiate(t.right, mapping))
 
+    def infer(self, node: Combinator) -> tuple[ValueType, ValueType]:
+        """The principal src and tgt of node, with no variable bound in subst.
+        A node inferred before, in any call, instantiates its scheme."""
+        scheme = node._scheme
+        if scheme is not None:
+            start, count, src, tgt, _ = scheme
+            delta = self.counter - start
+            self.counter += count
+            return (_shift(src, delta), _shift(tgt, delta)) if delta else (src, tgt)
+        start, bounds = self.counter, ()
+        if isinstance(node, Prim):
+            mapping: dict[int, TVar] = {}
+            src, tgt = SCHEMES[node.name]
+            src, tgt = self.instantiate(src, mapping), self.instantiate(tgt, mapping)
+        elif isinstance(node, Ann):
+            src, tgt = self.infer(node.term)
+            self.unify(src, node.src, node)
+            self.unify(tgt, node.tgt, node)
+            src, tgt = node.src, node.tgt
+        elif isinstance(node, Seq):
+            kids = [self.infer(p) for p in node.parts]
+            for (_, f_tgt), (g_src, _) in zip(kids, kids[1:]):
+                self.unify(f_tgt, g_src, node)
+            # a chain is the only node that unifies its children's types, so
+            # only its types can hold variables bound in subst
+            src, tgt = self.resolve(kids[0][0]), self.resolve(kids[-1][1])
+            bounds = tuple(self.resolve(t) for _, t in kids[:-1])
+        elif isinstance(node, (SumC, ProdC)):
+            (ls, lt), (rs, rt) = self.infer(node.left), self.infer(node.right)
+            pair = Sum if isinstance(node, SumC) else Prod
+            src, tgt = pair(ls, rs), pair(lt, rt)
+        elif isinstance(node, MetaVar):
+            raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
+        else:
+            raise TypeError(f"cannot typecheck {node!r}")
+        # one assignment, so another thread sees the whole scheme or none
+        node._scheme = (start, self.counter - start, src, tgt, bounds)
+        return src, tgt
+
 
 def _shift(t: ValueType, delta: int) -> ValueType:
     """t with every variable tN renamed to t(N + delta)."""
@@ -740,51 +793,48 @@ def _match(pattern: ValueType, ground: ValueType, env: dict[int, ValueType]) -> 
 
 
 def _ground(t: ValueType, env: dict[int, ValueType]) -> Optional[ValueType]:
-    """t with its variables replaced through env, or None if one stays free.
-    The ground type is written back for every variable on the way, so a
-    chain of variables (one per part of a long ``id ; id ; ...``) is walked
-    once, and without recursion."""
+    """t with its variables replaced through env, or None if one is unbound."""
     if not t.open:
         return t
     if isinstance(t, TVar):
-        chain = []
-        while isinstance(t, TVar):
-            chain.append(t.id)
-            t = env.get(t.id)
-            if t is None:
-                return None
-        g = _ground(t, env)
-        if g is not None:
-            for v in chain:
-                env[v] = g
-        return g
+        return env.get(t.id)
     left, right = _ground(t.left, env), _ground(t.right, env)
     return None if left is None or right is None else type(t)(left, right)
 
 
-def _shared_nodes(c: Combinator) -> set[int]:
-    """Identities of the nodes that are a child more than once in the term DAG."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            kids = node.parts
-        elif isinstance(node, (SumC, ProdC)):
-            kids = (node.left, node.right)
-        elif isinstance(node, Ann):
-            kids = (node.term,)
-        else:
-            continue
-        for kid in kids:
-            key = id(kid)
-            if key in seen:
-                shared.add(key)
-            else:
-                seen.add(key)
-                stack.append(kid)
-    return shared
+def _build(node: Combinator, src: ValueType, tgt: ValueType,
+           built: dict[tuple[int, int, int], Typed]) -> Typed:
+    """The Typed tree of node at the ground types src and tgt, one Typed per
+    (node, src, tgt).  Top down, in preorder, so the first node left open is
+    the one reported.  A chain's inner types are its scheme's bounds,
+    grounded by matching the scheme's src and tgt with src and tgt."""
+    key = (id(node), id(src), id(tgt))
+    typed = built.get(key)
+    if typed is not None:
+        return typed
+    if isinstance(node, Ann):
+        kids: tuple[Typed, ...] = (_build(node.term, src, tgt, built),)
+    elif isinstance(node, Seq):
+        _, _, s_src, s_tgt, bounds = node._scheme
+        env: dict[int, ValueType] = {}
+        _match(s_src, src, env)
+        _match(s_tgt, tgt, env)
+        parts, out, prev = node.parts, [], src
+        for part, bound in zip(parts, bounds):
+            mid = _ground(bound, env)
+            if mid is None:
+                raise UnresolvedMetavariable(part)
+            out.append(_build(part, prev, mid, built))
+            prev = mid
+        out.append(_build(parts[-1], prev, tgt, built))
+        kids = tuple(out)
+    elif isinstance(node, (SumC, ProdC)):
+        kids = (_build(node.left, src.left, tgt.left, built),
+                _build(node.right, src.right, tgt.right, built))
+    else:
+        kids = ()
+    typed = built[key] = Typed(node, src, tgt, kids)
+    return typed
 
 
 def typecheck(
@@ -797,127 +847,28 @@ def typecheck(
     the term stays polymorphic after inference (supply ``expected`` or add
     annotations in that case).
 
-    A term is a DAG: equal subterms are one object.  Each shared node is
-    inferred once, at its first occurrence, and its principal
-    type is kept as a scheme that later occurrences instantiate, as a
-    primitive instantiates its SCHEMES row.  The fresh-variable counter
-    advances as if the node had been inferred again, so a diagnostic names
-    the same node and variables as inferring every occurrence would.  The
-    result has one Typed per (node, src, tgt).
+    A term is a DAG: equal subterms are one object.  The first successful
+    inference of a node stores its principal scheme on the node: the
+    fresh-variable counter before the inference, the number of variables it
+    allocated, its src and tgt, and for a Seq the types between its parts.
+    Every later inference of the node, in this call or any later one,
+    instantiates the scheme by renaming its variables, as a primitive
+    instantiates its SCHEMES row.  The counter advances as if the node had
+    been inferred again, so a diagnostic names the same node and variables
+    as inferring every occurrence would.  A scheme is process-wide and holds
+    types only, never a node.  None is stored for a failed inference, so a
+    failing node is inferred again and raises the same error.  The result
+    has one Typed per (node, src, tgt).
     """
     u = _Unifier()
-    shared = _shared_nodes(c)
-    # shared node -> (counter before its inference, variables it allocated,
-    # principal src, principal tgt)
-    schemes: dict[int, tuple[int, int, ValueType, ValueType]] = {}
-    # Seq -> the types between its parts: unifier types, or for a Seq under
-    # a shared node, resolved when that node's scheme is taken
-    bounds: dict[int, list[ValueType]] = {}
-    unscoped: list[Seq] = []  # Seqs whose bounds are still unifier types
-
-    def infer(node: Combinator) -> tuple[ValueType, ValueType]:
-        if isinstance(node, Prim):
-            mapping: dict[int, TVar] = {}
-            src, tgt = SCHEMES[node.name]
-            return u.instantiate(src, mapping), u.instantiate(tgt, mapping)
-        key = id(node)
-        if key not in shared:
-            return infer_node(node)
-        if key in schemes:
-            start, count, src, tgt = schemes[key]
-            delta = u.counter - start
-            u.counter += count
-            return _shift(src, delta), _shift(tgt, delta)
-        start, mark = u.counter, len(unscoped)
-        src, tgt = infer_node(node)
-        src, tgt = u.resolve(src), u.resolve(tgt)
-        for s in unscoped[mark:]:
-            bounds[id(s)] = [u.resolve(b) for b in bounds[id(s)]]
-        del unscoped[mark:]
-        schemes[key] = (start, u.counter - start, src, tgt)
-        return src, tgt
-
-    def infer_node(node: Combinator) -> tuple[ValueType, ValueType]:
-        if isinstance(node, Ann):
-            src, tgt = infer(node.term)
-            u.unify(src, node.src, node)
-            u.unify(tgt, node.tgt, node)
-            return node.src, node.tgt
-        if isinstance(node, Seq):
-            kids = [infer(p) for p in node.parts]
-            for (_, f_tgt), (g_src, _) in zip(kids, kids[1:]):
-                u.unify(f_tgt, g_src, node)
-            bounds[id(node)] = [tgt for _, tgt in kids[:-1]]
-            unscoped.append(node)
-            return kids[0][0], kids[-1][1]
-        if isinstance(node, SumC):
-            (ls, lt), (rs, rt) = infer(node.left), infer(node.right)
-            return Sum(ls, rs), Sum(lt, rt)
-        if isinstance(node, ProdC):
-            (ls, lt), (rs, rt) = infer(node.left), infer(node.right)
-            return Prod(ls, rs), Prod(lt, rt)
-        if isinstance(node, MetaVar):
-            raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
-        raise TypeError(f"cannot typecheck {node!r}")
-
-    # Top down, in preorder, so the first node left open is the one reported.
-    # A node's children get their types from its own (ground) types and, for
-    # a Seq, its bounds.  Outside shared nodes the bounds are grounded through
-    # the final substitution; under a shared node, through the match of its
-    # scheme with the types of the occurrence.  A node outside every shared
-    # node occurs once, so only the others go through the memo.
-    root_env = u.subst
-    built: dict[tuple[int, int, int], Typed] = {}
-
-    def build(node: Combinator, src: ValueType, tgt: ValueType, env: dict) -> Typed:
-        key = id(node)
-        memo_key = None
-        if env is not root_env or key in shared:
-            memo_key = (key, id(src), id(tgt))
-            hit = built.get(memo_key)
-            if hit is not None:
-                return hit
-            if key in schemes:
-                _, _, s_src, s_tgt = schemes[key]
-                env = {}
-                _match(s_src, src, env)
-                _match(s_tgt, tgt, env)
-        if isinstance(node, Ann):
-            kids: tuple[Typed, ...] = (build(node.term, src, tgt, env),)
-        elif isinstance(node, Seq):
-            parts, out, prev = node.parts, [], src
-            for part, bound in zip(parts, bounds[key]):
-                mid = _ground(bound, env)
-                if mid is None:
-                    raise UnresolvedMetavariable(part)
-                out.append(build(part, prev, mid, env))
-                prev = mid
-            out.append(build(parts[-1], prev, tgt, env))
-            kids = tuple(out)
-        elif isinstance(node, (SumC, ProdC)):
-            kids = (build(node.left, src.left, tgt.left, env),
-                    build(node.right, src.right, tgt.right, env))
-        else:
-            kids = ()
-        typed = Typed(node, src, tgt, kids)
-        if memo_key is not None:
-            built[memo_key] = typed
-        return typed
-
-    # infer, infer_node and build reach themselves through closure cells, a
-    # cycle that would hold every table above until the cycle collector ran;
-    # emptying the cells on the way out lets reference counting free them.
-    try:
-        src, tgt = infer(c)
-        if expected is not None:
-            u.unify(src, expected[0], c)
-            u.unify(tgt, expected[1], c)
-        src, tgt = _ground(src, root_env), _ground(tgt, root_env)
-        if src is None or tgt is None:
-            raise UnresolvedMetavariable(c)
-        return build(c, src, tgt, root_env)
-    finally:
-        del infer, infer_node, build
+    src, tgt = u.infer(c)
+    if expected is not None:
+        u.unify(src, expected[0], c)
+        u.unify(tgt, expected[1], c)
+    src, tgt = u.resolve(src), u.resolve(tgt)
+    if src.open or tgt.open:
+        raise UnresolvedMetavariable(c)
+    return _build(c, src, tgt, {})
 
 
 def strip_ann(c: Combinator) -> Combinator:

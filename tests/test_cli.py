@@ -236,6 +236,23 @@ def test_long_circuit_equiv_is_a_verdict(capsys, tmp_path):
     assert (code, out.strip(), err) == (0, "equal", "")
 
 
+def test_equiv_of_circuits_of_different_widths(capsys, tmp_path, monkeypatch):
+    # checked before typecheck, so the diagnostic is one line, not a
+    # unification error that prints a whole placed gate
+    def unreachable(*args, **kwargs):
+        raise AssertionError("check_equiv called")
+
+    monkeypatch.setattr("sqrtpi.cli.check_equiv", unreachable)
+    wide, narrow = tmp_path / "wide.circ", tmp_path / "narrow.circ"
+    wide.write_text("qubits 10\nh 0\ncx 0 9\n", encoding="utf-8")
+    narrow.write_text("qubits 9\nh 0\ncx 0 8\n", encoding="utf-8")
+    for left, right, widths in ((wide, narrow, (10, 9)), (narrow, wide, (9, 10))):
+        code, out, err = run(capsys, "equiv", str(left), str(right))
+        _assert_one_line_error(code, out, err)
+        assert err == (f"error: {left} has {widths[0]} qubits and {right} has {widths[1]};"
+                       " equiv compares circuits of equal width\n")
+
+
 def test_long_chain_parses_and_typechecks(capsys, tmp_path):
     term = tmp_path / "long.term"
     term.write_text(" ; ".join(["v"] * 2000), encoding="utf-8")

@@ -150,17 +150,45 @@ def test_cached_fields_make_no_cycle():
         assert strip_ann(t) is SumC(chain, ProdC(chain, Prim("v")))
         assert strip_ann(chain) is chain
         assert term_size(t) == 1 + 73 + (1 + 73 + 1)  # a chain of 37 counts 37 + 36
+        assert typecheck(t).src is lang.Sum(ONE_T, Prod(ONE_T, BOOL))
+        assert_types_only(t._scheme)
+        assert_types_only(chain._scheme)
+        bad = seq(t, chain)  # 1+1*2 against 1
+        assert type_error(bad).startswith("cannot unify")
+        assert bad._scheme is None
         assert len(lang._TERMS) > before
-        del t, chain
+        del t, chain, bad
         assert len(lang._TERMS) == before
     finally:
         gc.enable()
 
 
+def assert_types_only(scheme):
+    """A stored scheme is (start, count, src, tgt, bounds) and refers to no
+    node, so it cannot close a cycle back to the node that holds it."""
+    start, count, src, tgt, bounds = scheme
+    assert isinstance(start, int) and isinstance(count, int) and isinstance(bounds, tuple)
+    stack = [src, tgt, *bounds]
+    while stack:
+        t = stack.pop()
+        assert isinstance(t, (lang.Zero, lang.One, lang.TVar, lang._Pair)), t
+        if isinstance(t, lang._Pair):
+            stack += [t.left, t.right]
+
+
+def type_error(term):
+    # the exception refers to the node; only its text leaves this frame
+    try:
+        typecheck(term)
+    except lang.TypeCheckError as e:
+        return str(e)
+    return None
+
+
 def test_typecheck_leaves_no_cycle():
-    # typecheck's recursive closures reach themselves through their cells;
-    # with the cycle collector off, those cells would keep the term and the
-    # typed tree alive after the last outside reference is gone
+    # neither typecheck's tables nor the schemes it stores on the nodes may
+    # keep a term or its typed tree alive, with the cycle collector off, after
+    # the last outside reference is gone; also when inference fails
     gc.collect()
     gc.disable()
     try:
@@ -168,7 +196,18 @@ def test_typecheck_leaves_no_cycle():
         nodes = [weakref.ref(n) for n in (term, term.left, term.right)]
         typed = typecheck(term)
         assert typed.src is Prod(BOOL, BOOL)
+        for n in nodes:
+            assert_types_only(n()._scheme)
         del term, typed
+        assert [n() for n in nodes] == [None, None, None]
+
+        # the left factor types, the right one does not
+        term = parse("(swap+ ; vi ; v ; swap+) * (vi ; swap* ; vi)")  # in no other test
+        nodes = [weakref.ref(n) for n in (term, term.left, term.right)]
+        assert type_error(term) == "cannot unify 2 with t5*t6 at `vi ; swap* ; vi`"
+        assert_types_only(term.left._scheme)
+        assert term._scheme is None and term.right._scheme is None
+        del term
         assert [n() for n in nodes] == [None, None, None]
         assert gc.collect() == 0
     finally:

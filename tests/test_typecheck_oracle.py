@@ -13,6 +13,9 @@ on ill-typed input, on the error class, the node object and the message.
 import gc
 import os
 import random
+import re
+import sys
+import threading
 
 import pytest
 
@@ -361,3 +364,101 @@ def test_intern_table_does_not_grow():
         typecheck(term)
         gc.collect()
         assert len(lang._INTERNED) == size
+
+
+def dag_nodes(term):
+    """The distinct nodes of term, in preorder of first visit."""
+    seen, out, stack = set(), [], [term]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        if isinstance(node, Seq):
+            stack.extend(reversed(node.parts))
+        elif isinstance(node, (SumC, ProdC)):
+            stack.extend((node.right, node.left))
+        elif isinstance(node, Ann):
+            stack.append(node.term)
+    return out
+
+
+def error_text(term, expected=None):
+    """The class and message typecheck raises on term, or None."""
+    try:
+        typecheck(term, expected)
+    except TypeCheckError as e:
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
+def warm_cache_corpus():
+    rng = random.Random(31)
+    for _ in range(120):
+        yield random_dag(rng, 4), None
+    names = sorted(ORACLE_SCHEMES)
+    for term, src, tgt in random_terms(37, 60):
+        # swap one primitive occurrence for another
+        text = pretty(term)
+        m = rng.choice(list(re.finditer(r"[a-z][a-z+*]*", text)))
+        yield parse(text[:m.start()] + rng.choice(names) + text[m.end():]), (src, tgt)
+    for seed in range(30, 50):
+        yield compile_circuit(seeded_circuit(seed)), None
+
+
+def test_results_do_not_depend_on_a_warm_cache():
+    # typecheck keeps a node's scheme for the life of the process: whichever
+    # subterms an earlier call checked, and whether they failed, the term's
+    # types and diagnostics are those of the oracle, which infers afresh
+    rng = random.Random(43)
+    warmed_failures = ill_typed = 0
+    for term, expected in warm_cache_corpus():
+        nodes = dag_nodes(term)
+        for node in nodes:  # start cold, as in a fresh process
+            node._scheme = None
+        for sub in rng.sample(nodes[1:], len(nodes[1:]) // 2):
+            warmed_failures += error_text(sub) is not None
+        for exp in dict.fromkeys((expected, None)):
+            if not agree(term, exp):
+                ill_typed += 1
+                # a failed inference stores nothing that changes the next one
+                assert error_text(term, exp) == error_text(term, exp)
+    assert warmed_failures > 100 and ill_typed > 100
+
+
+def test_concurrent_typechecks_agree():
+    # a circuit no other test builds, so its placed gates are not yet typed;
+    # each scheme is published in one assignment, so a thread sees a whole
+    # scheme or none
+    rng = random.Random(97)
+    gates = tuple(CircuitGate(g, tuple(rng.sample(range(7), CIRCUIT_GATES[g])))
+                  for g in rng.choices(sorted(CIRCUIT_GATES), k=40))
+    term = compile_circuit(Circuit(7, gates))
+    assert term._scheme is None
+    barrier = threading.Barrier(4)
+    results, errors = [None] * 4, []
+
+    def work(i):
+        barrier.wait(timeout=60)
+        try:
+            results[i] = typecheck(term)
+        except Exception as e:  # reported below, with the thread's index
+            errors.append((i, e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    want = [(t.term, t.src, t.tgt) for t in preorder(typecheck(term))]
+    for typed in results:
+        assert [(t.term, t.src, t.tgt) for t in preorder(typed)] == want
+    assert agree(term)
