@@ -101,6 +101,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    if args.steps < 0:
+        raise SqrtPiError(f"--steps must be 0 or more, not {args.steps}")
     term = _load_term(args.file, args.expand_macros)
     out, trace = simplify(term, budget=args.steps, expected=_expected(args))
     if args.json:

@@ -183,7 +183,7 @@ class _Node:
     caches strip_ann (never the node itself, which would be a cycle),
     ``_size`` caches rewrite.term_size (0 until computed) and ``_scheme``
     the principal type that typecheck inferred (None until an inference
-    succeeds; types only, see typecheck)."""
+    succeeds; for a primitive, its SCHEMES row; types only, see typecheck)."""
 
     __slots__ = ("_bare", "_size", "_scheme", "__weakref__")
 
@@ -250,29 +250,32 @@ def seq(*cs: Combinator) -> Combinator:
     return Seq(parts) if len(parts) > 1 else parts[0]
 
 
-# primitive typing schemes, one row per primitive (a, b, c are metavariables)
-_A, _B, _C = TVar(-1), TVar(-2), TVar(-3)
+# Primitive typing schemes, one row per primitive, in the form typecheck keeps
+# on a node (see _Unifier.infer): counter start 0, the number of variables,
+# src, tgt and no chain bounds.  The variables are t1..tk in order of first
+# occurrence, so a row reads as if the primitive had been inferred at counter 0.
+_T1, _T2, _T3 = TVar(1), TVar(2), TVar(3)
 
-SCHEMES: dict[str, tuple[ValueType, ValueType]] = {
-    "id": (_A, _A),
-    "swap+": (Sum(_A, _B), Sum(_B, _A)),
-    "assocr+": (Sum(Sum(_A, _B), _C), Sum(_A, Sum(_B, _C))),
-    "assocl+": (Sum(_A, Sum(_B, _C)), Sum(Sum(_A, _B), _C)),
-    "unite+l": (Sum(ZERO_T, _A), _A),
-    "uniti+l": (_A, Sum(ZERO_T, _A)),
-    "swap*": (Prod(_A, _B), Prod(_B, _A)),
-    "assocr*": (Prod(Prod(_A, _B), _C), Prod(_A, Prod(_B, _C))),
-    "assocl*": (Prod(_A, Prod(_B, _C)), Prod(Prod(_A, _B), _C)),
-    "unite*l": (Prod(ONE_T, _A), _A),
-    "uniti*l": (_A, Prod(ONE_T, _A)),
-    "dist": (Prod(Sum(_A, _B), _C), Sum(Prod(_A, _C), Prod(_B, _C))),
-    "factor": (Sum(Prod(_A, _C), Prod(_B, _C)), Prod(Sum(_A, _B), _C)),
-    "absorbl": (Prod(_A, ZERO_T), ZERO_T),
-    "factorzr": (ZERO_T, Prod(_A, ZERO_T)),
-    "v": (BOOL, BOOL),
-    "vi": (BOOL, BOOL),
-    "w": (ONE_T, ONE_T),
-    "wi": (ONE_T, ONE_T),
+SCHEMES: dict[str, tuple] = {
+    "id": (0, 1, _T1, _T1, ()),
+    "swap+": (0, 2, Sum(_T1, _T2), Sum(_T2, _T1), ()),
+    "assocr+": (0, 3, Sum(Sum(_T1, _T2), _T3), Sum(_T1, Sum(_T2, _T3)), ()),
+    "assocl+": (0, 3, Sum(_T1, Sum(_T2, _T3)), Sum(Sum(_T1, _T2), _T3), ()),
+    "unite+l": (0, 1, Sum(ZERO_T, _T1), _T1, ()),
+    "uniti+l": (0, 1, _T1, Sum(ZERO_T, _T1), ()),
+    "swap*": (0, 2, Prod(_T1, _T2), Prod(_T2, _T1), ()),
+    "assocr*": (0, 3, Prod(Prod(_T1, _T2), _T3), Prod(_T1, Prod(_T2, _T3)), ()),
+    "assocl*": (0, 3, Prod(_T1, Prod(_T2, _T3)), Prod(Prod(_T1, _T2), _T3), ()),
+    "unite*l": (0, 1, Prod(ONE_T, _T1), _T1, ()),
+    "uniti*l": (0, 1, _T1, Prod(ONE_T, _T1), ()),
+    "dist": (0, 3, Prod(Sum(_T1, _T2), _T3), Sum(Prod(_T1, _T3), Prod(_T2, _T3)), ()),
+    "factor": (0, 3, Sum(Prod(_T1, _T2), Prod(_T3, _T2)), Prod(Sum(_T1, _T3), _T2), ()),
+    "absorbl": (0, 1, Prod(_T1, ZERO_T), ZERO_T, ()),
+    "factorzr": (0, 1, ZERO_T, Prod(_T1, ZERO_T), ()),
+    "v": (0, 0, BOOL, BOOL, ()),
+    "vi": (0, 0, BOOL, BOOL, ()),
+    "w": (0, 0, ONE_T, ONE_T, ()),
+    "wi": (0, 0, ONE_T, ONE_T, ()),
 }
 
 PRIMITIVES = tuple(SCHEMES)
@@ -658,15 +661,12 @@ class Typed:
 
 
 class _Unifier:
-    """The substitution and fresh-variable counter of one typecheck call."""
+    """The substitution and variable counter of one typecheck call, or of
+    grounding one chain's inner types in _build."""
 
     def __init__(self) -> None:
         self.subst: dict[int, ValueType] = {}
         self.counter = 0
-
-    def fresh(self) -> TVar:
-        self.counter += 1
-        return TVar(self.counter)
 
     def find(self, t: ValueType) -> ValueType:
         """The representative of t.  The variables on the way are bound to
@@ -684,11 +684,10 @@ class _Unifier:
         return t
 
     def resolve(self, t: ValueType) -> ValueType:
-        if not t.open:
-            return t
-        t = self.find(t)
-        if isinstance(t, _Pair):
-            return type(t)(self.resolve(t.left), self.resolve(t.right))
+        if t.open:
+            t = self.find(t)
+            if t.open and isinstance(t, _Pair):  # a closed type is its own resolution
+                return type(t)(self.resolve(t.left), self.resolve(t.right))
         return t
 
     def _occurs(self, v: TVar, t: ValueType) -> bool:
@@ -723,30 +722,20 @@ class _Unifier:
             return
         raise UnificationFailure(self.resolve(a), self.resolve(b), node)
 
-    def instantiate(self, t: ValueType, mapping: dict[int, TVar]) -> ValueType:
-        if not t.open:
-            return t
-        if isinstance(t, TVar):
-            if t.id not in mapping:
-                mapping[t.id] = self.fresh()
-            return mapping[t.id]
-        return type(t)(self.instantiate(t.left, mapping), self.instantiate(t.right, mapping))
-
     def infer(self, node: Combinator) -> tuple[ValueType, ValueType]:
         """The principal src and tgt of node, with no variable bound in subst.
-        A node inferred before, in any call, instantiates its scheme."""
+        A node inferred before, in any call, and a primitive, whose scheme is
+        its SCHEMES row, instantiate their scheme."""
         scheme = node._scheme
+        if scheme is None and isinstance(node, Prim):
+            scheme = node._scheme = SCHEMES[node.name]
         if scheme is not None:
             start, count, src, tgt, _ = scheme
             delta = self.counter - start
             self.counter += count
             return (_shift(src, delta), _shift(tgt, delta)) if delta else (src, tgt)
         start, bounds = self.counter, ()
-        if isinstance(node, Prim):
-            mapping: dict[int, TVar] = {}
-            src, tgt = SCHEMES[node.name]
-            src, tgt = self.instantiate(src, mapping), self.instantiate(tgt, mapping)
-        elif isinstance(node, Ann):
+        if isinstance(node, Ann):
             src, tgt = self.infer(node.term)
             self.unify(src, node.src, node)
             self.unify(tgt, node.tgt, node)
@@ -781,33 +770,12 @@ def _shift(t: ValueType, delta: int) -> ValueType:
     return type(t)(_shift(t.left, delta), _shift(t.right, delta))
 
 
-def _match(pattern: ValueType, ground: ValueType, env: dict[int, ValueType]) -> None:
-    """Bind the variables of pattern to the parts of its instance ground."""
-    if not pattern.open:
-        return
-    if isinstance(pattern, TVar):
-        env[pattern.id] = ground
-        return
-    _match(pattern.left, ground.left, env)
-    _match(pattern.right, ground.right, env)
-
-
-def _ground(t: ValueType, env: dict[int, ValueType]) -> Optional[ValueType]:
-    """t with its variables replaced through env, or None if one is unbound."""
-    if not t.open:
-        return t
-    if isinstance(t, TVar):
-        return env.get(t.id)
-    left, right = _ground(t.left, env), _ground(t.right, env)
-    return None if left is None or right is None else type(t)(left, right)
-
-
 def _build(node: Combinator, src: ValueType, tgt: ValueType,
            built: dict[tuple[int, int, int], Typed]) -> Typed:
     """The Typed tree of node at the ground types src and tgt, one Typed per
     (node, src, tgt).  Top down, in preorder, so the first node left open is
     the one reported.  A chain's inner types are its scheme's bounds,
-    grounded by matching the scheme's src and tgt with src and tgt."""
+    grounded by unifying the scheme's src and tgt with src and tgt."""
     key = (id(node), id(src), id(tgt))
     typed = built.get(key)
     if typed is not None:
@@ -816,13 +784,13 @@ def _build(node: Combinator, src: ValueType, tgt: ValueType,
         kids: tuple[Typed, ...] = (_build(node.term, src, tgt, built),)
     elif isinstance(node, Seq):
         _, _, s_src, s_tgt, bounds = node._scheme
-        env: dict[int, ValueType] = {}
-        _match(s_src, src, env)
-        _match(s_tgt, tgt, env)
+        u = _Unifier()
+        u.unify(s_src, src, node)
+        u.unify(s_tgt, tgt, node)
         parts, out, prev = node.parts, [], src
         for part, bound in zip(parts, bounds):
-            mid = _ground(bound, env)
-            if mid is None:
+            mid = u.resolve(bound)
+            if mid.open:
                 raise UnresolvedMetavariable(part)
             out.append(_build(part, prev, mid, built))
             prev = mid
@@ -851,14 +819,14 @@ def typecheck(
     inference of a node stores its principal scheme on the node: the
     fresh-variable counter before the inference, the number of variables it
     allocated, its src and tgt, and for a Seq the types between its parts.
-    Every later inference of the node, in this call or any later one,
-    instantiates the scheme by renaming its variables, as a primitive
-    instantiates its SCHEMES row.  The counter advances as if the node had
-    been inferred again, so a diagnostic names the same node and variables
-    as inferring every occurrence would.  A scheme is process-wide and holds
-    types only, never a node.  None is stored for a failed inference, so a
-    failing node is inferred again and raises the same error.  The result
-    has one Typed per (node, src, tgt).
+    A primitive's scheme is its SCHEMES row.  Every later inference of the
+    node, in this call or any later one, instantiates the scheme by renaming
+    its variables.  The counter advances as if the node had been inferred
+    again, so a diagnostic names the same node and variables as inferring
+    every occurrence would.  A scheme is process-wide and holds types only,
+    never a node.  None is stored for a failed inference, so a failing node
+    is inferred again and raises the same error.  The result has one Typed
+    per (node, src, tgt).
     """
     u = _Unifier()
     src, tgt = u.infer(c)

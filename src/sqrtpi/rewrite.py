@@ -63,6 +63,10 @@ class PathInvalid(SqrtPiError):
     pass
 
 
+class CatalogError(SqrtPiError):
+    pass
+
+
 # --- term plumbing ----------------------------------------------------------
 
 
@@ -205,6 +209,20 @@ def _match(pat: Combinator, term: Combinator, b: dict, k: int = 0) -> bool:
     raise TypeError(f"bad pattern node {pat!r}")
 
 
+def _metavars(pat: Combinator) -> set[str]:
+    """The names of the metavariables in pat; a shared node is visited once."""
+    names: set[str] = set()
+    seen, stack = set(), [pat]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, MetaVar):
+                names.add(node.name)
+            stack.extend(node.parts if isinstance(node, Seq) else _children(node))
+    return names
+
+
 def subst(pat: Combinator, b: dict) -> Combinator:
     if isinstance(pat, MetaVar):
         try:
@@ -304,6 +322,21 @@ class RewriteRule:
     side: Optional[SideCondition] = None
     checks: tuple[tuple[Combinator, Combinator], ...] = ()
     qubits: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # A side condition, and the rhs of an oriented rule, may read only
+        # what the lhs binds.  Applied backward, a rule binds from its rhs,
+        # so the rhs of a rule that is not oriented may bind more.  The lhs
+        # of a gate rule is a large DAG, so it is walked only when some
+        # variable is read.
+        reads = [(f"side condition {self.side.name}", set(self.side.vars))] if self.side else []
+        if self.oriented:
+            reads.append(("rhs", _metavars(self.rhs)))
+        bound = _metavars(self.lhs) if any(names for _, names in reads) else set()
+        for what, names in reads:
+            for name in sorted(names - bound):
+                raise CatalogError(
+                    f"rule {self.name!r}: {what} reads ?{name}, which its lhs does not bind")
 
 
 # --- rule dispatch ------------------------------------------------------------
@@ -656,10 +689,6 @@ def catalog_text(rules: Optional[Sequence[RewriteRule]] = None) -> str:
     return "\n".join(out)
 
 
-class CatalogError(SqrtPiError):
-    pass
-
-
 def _parse_check(text: str) -> tuple[Combinator, Combinator]:
     left, sep, right = text.partition("==")
     if not sep:
@@ -700,7 +729,7 @@ def _load_catalog(text: str) -> tuple[RewriteRule, ...]:
                 if rest in names:
                     raise CatalogError(f"duplicate rule {rest!r}")
                 names.add(rest)
-                cur = {"name": rest, "checks": [], "flags": [], "phase": 0,
+                cur = {"name": rest, "check": [], "flags": [], "phase": 0,
                        "family": "?", "qubits": None, "side": None}
             elif cur is None:
                 raise CatalogError(f"{key!r} outside a rule block")
@@ -725,10 +754,11 @@ def _load_catalog(text: str) -> tuple[RewriteRule, ...]:
             elif key == "rhs":
                 cur["rhs"] = parse(rest, allow_metavars=True)
             elif key == "check":
-                cur["checks"].append(_parse_check(rest))
+                cur["check"].append(_parse_check(rest))
             elif key == "end":
-                if not cur["checks"]:
-                    raise CatalogError(f"rule {cur['name']!r} has no check line")
+                for part in ("lhs", "rhs", "check"):
+                    if not cur.get(part):
+                        raise CatalogError(f"rule {cur['name']!r} has no {part} line")
                 flags = cur.pop("flags")
                 rules.append(
                     RewriteRule(
@@ -740,7 +770,7 @@ def _load_catalog(text: str) -> tuple[RewriteRule, ...]:
                         oriented="oriented" in flags,
                         normalizing="normalizing" in flags,
                         side=cur["side"],
-                        checks=tuple(cur["checks"]),
+                        checks=tuple(cur["check"]),
                         qubits=cur["qubits"],
                     )
                 )

@@ -369,21 +369,21 @@ def _build_p_family(rules: list[RewriteRule]) -> None:
 def _build_level2(rules: list[RewriteRule]) -> None:
     c, a, b, c3 = _m("c"), _m("a"), _m("b"), _m("c3")
     w, wi, v, vi = Prim("w"), Prim("wi"), Prim("v"), Prim("vi")
-    rules.append(_rule("idl◎ l".replace(" ", ""), "level2",
+    rules.append(_rule("idl◎l", "level2",
                        seq(Prim("id"), c), c, oriented=True,
                        insts=[{"c": v}, {"c": h_gate()}]))
-    rules.append(_rule("idr◎ l".replace(" ", ""), "level2",
+    rules.append(_rule("idr◎l", "level2",
                        seq(c, Prim("id")), c, oriented=True,
                        insts=[{"c": v}, {"c": s_gate()}]))
     # seq flattens chains, so both sides of the associativity laws build the
     # same term; they stay in the catalog as the laws of the language
-    rules.append(_rule("assoc◎ l".replace(" ", ""), "level2",
+    rules.append(_rule("assoc◎l", "level2",
                        seq(a, seq(b, c3)), seq(seq(a, b), c3),
                        insts=[{"a": x_gate(), "b": s_gate(), "c3": h_gate()}]))
-    rules.append(_rule("assoc◎ r".replace(" ", ""), "level2",
+    rules.append(_rule("assoc◎r", "level2",
                        seq(seq(a, b), c3), seq(a, seq(b, c3)),
                        insts=[{"a": x_gate(), "b": s_gate(), "c3": h_gate()}]))
-    rules.append(_rule("linv◎ l".replace(" ", ""), "level2",
+    rules.append(_rule("linv◎l", "level2",
                        seq(_m("c"), _m("ci")), Prim("id"),
                        oriented=True, side=INVERSE_PAIR,
                        checks=[(seq(v, vi), _ID2),
@@ -391,7 +391,7 @@ def _build_level2(rules: list[RewriteRule]) -> None:
                                (_pin(Sum(ONE_T, BOOL),
                                      seq(Prim("swap+"), Prim("swap+"))),
                                 identity_at(Sum(ONE_T, BOOL)))]))
-    rules.append(_rule("rinv◎ l".replace(" ", ""), "level2",
+    rules.append(_rule("rinv◎l", "level2",
                        seq(_m("ci"), _m("c")), Prim("id"),
                        oriented=True,
                        # the relation is symmetric, so it may be checked from

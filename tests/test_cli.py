@@ -120,6 +120,16 @@ def test_simplify_trace_output(capsys):
     assert "omega power: 0" in out
 
 
+def test_simplify_rejects_a_negative_budget(capsys):
+    code, out, err = run(capsys, "simplify", f"{FILES}/s_s.term",
+                         "--expand-macros", "--steps", "-1")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: --steps must be 0 or more, not -1\n"
+    code, out, _ = run(capsys, "simplify", f"{FILES}/s_s.term", "--expand-macros",
+                       "--steps", "0")
+    assert code == 0 and "   1. " not in out
+
+
 def test_simplify_json(capsys):
     code, out, _ = run(capsys, "simplify", f"{FILES}/s_s.term",
                        "--expand-macros", "--json")
@@ -221,6 +231,34 @@ def test_catalog_unknown_flag(capsys, tmp_path, monkeypatch):
 def test_catalog_rule_without_check(capsys, tmp_path, monkeypatch):
     err = _catalog_error(capsys, tmp_path, monkeypatch, "rule r\nlhs v\nrhs v\nend\n")
     assert err == "error: line 5: rule 'r' has no check line\n"
+
+
+def test_catalog_rule_without_lhs_or_rhs(capsys, tmp_path, monkeypatch):
+    err = _catalog_error(capsys, tmp_path, monkeypatch, "rule r\nrhs v\ncheck v == v\nend\n")
+    assert err == "error: line 5: rule 'r' has no lhs line\n"
+    err = _catalog_error(capsys, tmp_path, monkeypatch, "rule r\nlhs v\ncheck v == v\nend\n")
+    assert err == "error: line 5: rule 'r' has no rhs line\n"
+
+
+def test_catalog_rule_reading_an_unbound_variable(capsys, tmp_path, monkeypatch):
+    from sqrtpi.rewrite import catalog_text
+
+    # a side condition over variables that the lhs never binds can never hold
+    text = catalog_text().removeprefix("sqrtpi-rules 1\n")
+    assert text.count("side inverse_pair c ci\n") == 1
+    err = _catalog_error(capsys, tmp_path, monkeypatch,
+                         text.replace("side inverse_pair c ci\n", "side inverse_pair x y\n"))
+    assert re.fullmatch(r"error: line \d+: rule 'linv◎l': side condition inverse_pair "
+                        r"reads \?x, which its lhs does not bind\n", err)
+    # the rhs of an oriented rule may use only what its lhs binds
+    block = "rule r\n{}lhs ?c ; v\nrhs ?d\ncheck v == v\nend\n"
+    err = _catalog_error(capsys, tmp_path, monkeypatch, block.format("flags oriented\n"))
+    assert err == "error: line 7: rule 'r': rhs reads ?d, which its lhs does not bind\n"
+    # applied backward, a rule that is not oriented binds ?d from its rhs
+    path = tmp_path / "rules.txt"
+    path.write_text("sqrtpi-rules 1\n" + block.format(""), encoding="utf-8")
+    code, out, _ = run(capsys, "check-rules")
+    assert (code, out.splitlines()[-1]) == (0, "1/1 rules pass")
 
 
 def test_catalog_duplicate_rule_name(capsys, tmp_path, monkeypatch):

@@ -276,6 +276,12 @@ def random_dag(rng, depth):
 
 
 def test_random_terms_agree():
+    # each primitive's SCHEMES row alone, and under an expected type that
+    # clashes with every row, so the message prints the row's variables
+    assert list(lang.SCHEMES) == list(ORACLE_SCHEMES)
+    for name in lang.SCHEMES:
+        agree(Prim(name))
+        assert not agree(Prim(name), (ONE_T, lang.ZERO_T))
     for seed in range(4):
         for term, src, tgt in random_terms(seed, 25):
             assert agree(term, (src, tgt))
