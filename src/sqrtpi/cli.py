@@ -135,7 +135,10 @@ def _cmd_check_rules(args) -> int:
         if not rules:
             print(f"no rules in family {args.family!r}", file=sys.stderr)
             return 2
-    reports = [validate_rule(r) for r in rules]
+    elif not rules:
+        raise SqrtPiError(f"no rules in catalog {catalog_path}")
+    built, memo = {}, {}  # typed trees and denotations, shared by the whole run
+    reports = [validate_rule(r, built=built, memo=memo) for r in rules]
     width = max(len(r.name) for r in rules)
     passed = 0
     for rule, report in zip(rules, reports):

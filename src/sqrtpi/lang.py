@@ -412,16 +412,21 @@ def _parse_error(text: str, i: int, msg: str, expected: tuple[str, ...] = ()) ->
 
 
 class _GroupMemo:
-    """The parenthesized groups read by one parse call, or by every call
-    inside one shared_groups() block.  ``ids`` numbers each distinct group
-    content (its tokens, with each inner group replaced by its number), so
-    groups with equal token slices get one number, in time linear in the
-    tokens.  ``nodes`` maps (number, context) to the node of a group that
-    parsed and the nesting depth it reached, counted from outside its "("."""
+    """The parenthesized groups, and the whole texts, read by one parse
+    call, or by every call inside one shared_groups() block.  ``ids``
+    numbers each distinct group content (its tokens, with each inner group
+    replaced by its number), so groups with equal token slices get one
+    number, in time linear in the tokens.  ``nodes`` maps (number, context) to the node of a group that
+    parsed and the nesting depth it reached, counted from outside its "(".
+    ``texts`` maps (text, expand_macros, allow_metavars) to the node of a
+    whole text that parsed, the text stripped of the whitespace that the
+    tokenizer skips; a text that failed is never stored, so it is read again
+    and raises the same error."""
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
         self.nodes: dict[tuple, tuple] = {}
+        self.texts: dict[tuple, Combinator] = {}
 
 
 _SHARED = threading.local()
@@ -616,7 +621,13 @@ def parse(
     expand_macros: bool = False,
     allow_metavars: bool = False,
 ) -> Combinator:
-    """Parse surface syntax into an (untyped) combinator AST."""
+    """Parse surface syntax into an (untyped) combinator AST.  Inside a
+    shared_groups() block, a text equal to one that parsed before, up to
+    leading and trailing whitespace, returns that node without being read."""
+    memo = getattr(_SHARED, "memo", None)
+    key = (text.strip(" \t\r\n"), expand_macros, allow_metavars)
+    if memo is not None and key in memo.texts:
+        return memo.texts[key]
     macros = None
     if expand_macros:
         from . import gates  # late import; gates builds terms via this module
@@ -625,6 +636,8 @@ def parse(
     p = _Parser(text, macros, allow_metavars)
     t = p.term()
     p._end()
+    if memo is not None:
+        memo.texts[key] = t
     return t
 
 
@@ -808,6 +821,7 @@ def _build(node: Combinator, src: ValueType, tgt: ValueType,
 def typecheck(
     c: Combinator,
     expected: Optional[tuple[ValueType, ValueType]] = None,
+    built: Optional[dict] = None,
 ) -> Typed:
     """Infer concrete types for every node; returns the annotated tree.
 
@@ -827,6 +841,11 @@ def typecheck(
     never a node.  None is stored for a failed inference, so a failing node
     is inferred again and raises the same error.  The result has one Typed
     per (node, src, tgt).
+
+    ``built`` is the table of those Typed trees; by default each call starts
+    an empty one.  Calls that pass one table, such as the checks of one
+    ``check-rules`` run, build each (node, src, tgt) once between them.  A
+    tree is stored only once built whole, so an error is raised again.
     """
     u = _Unifier()
     src, tgt = u.infer(c)
@@ -836,7 +855,7 @@ def typecheck(
     src, tgt = u.resolve(src), u.resolve(tgt)
     if src.open or tgt.open:
         raise UnresolvedMetavariable(c)
-    return _build(c, src, tgt, {})
+    return _build(c, src, tgt, {} if built is None else built)
 
 
 def strip_ann(c: Combinator) -> Combinator:

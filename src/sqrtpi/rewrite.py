@@ -599,16 +599,23 @@ class RuleReport:
 def validate_rule(
     rule: RewriteRule,
     instances: Optional[Sequence[tuple[Combinator, Combinator]]] = None,
+    built: Optional[dict] = None,
+    memo: Optional[dict] = None,
 ) -> RuleReport:
-    """Exact comparison of every instantiation; an instance too large to decide raises."""
+    """Exact comparison of every instantiation; an instance too large to decide raises.
+
+    ``built`` is passed to ``typecheck`` and ``memo`` to ``evaluate``.  The
+    CLI passes the same two tables to every rule of one ``check-rules`` run,
+    so a (subterm, src, tgt) that recurs across check sides is typed and
+    evaluated once in that run; by default every call makes its own."""
     pairs = tuple(instances) if instances is not None else rule.checks
     results = []
     for i, (lhs, rhs) in enumerate(pairs):
         try:
-            tl = typecheck(lhs)
-            tr = typecheck(rhs, (tl.src, tl.tgt))
-            ml = evaluate(tl)
-            mr = evaluate(tr).times_omega_pow(rule.phase)
+            tl = typecheck(lhs, built=built)
+            tr = typecheck(rhs, (tl.src, tl.tgt), built)
+            ml = evaluate(tl, memo=memo)
+            mr = evaluate(tr, memo=memo).times_omega_pow(rule.phase)
             if ml == mr:
                 results.append(InstanceResult(i, True))
             else:

@@ -354,11 +354,11 @@ def check_dimension(t: Typed) -> None:
 def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     """Denotation of a typed combinator.
 
-    The memo table is per-call and keyed on ``(t.term, t.src, t.tgt)``: a
-    term and its ground types determine its denotation, and all three are
-    hash-consed, so the key hashes without walking a tree.  Every repeated
-    subterm evaluates once, also across two ``typecheck`` results that
-    share a memo.
+    The memo table is fresh per call unless one is passed, and keyed on
+    ``(t.term, t.src, t.tgt)``: a term and its ground types determine its
+    denotation, and all three are hash-consed, so the key hashes without
+    walking a tree.  Every repeated subterm evaluates once, also across two
+    ``typecheck`` results that share a memo.
     """
     memo = _memo if _memo is not None else {}
     key = (t.term, t.src, t.tgt)
@@ -396,12 +396,16 @@ def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
 def evaluate(
     c: Union[Combinator, Typed],
     expected: Optional[tuple[ValueType, ValueType]] = None,
+    memo: Optional[dict] = None,
 ) -> ExactMatrix:
     """Typecheck (if needed) and evaluate a combinator; ``check_dimension``
-    refuses a type too large to evaluate before any matrix is built."""
+    refuses a type too large to evaluate before any matrix is built.
+    ``memo`` is eval_typed's table; calls that pass one table, such as the
+    checks of one ``check-rules`` run, evaluate each (subterm, src, tgt) once
+    between them.  By default each call starts an empty one."""
     t = c if isinstance(c, Typed) else typecheck(c, expected)
     check_dimension(t)
-    return eval_typed(t)
+    return eval_typed(t, memo)
 
 
 def _chain_parts(t: Typed) -> list[Typed]:

@@ -261,6 +261,11 @@ def test_catalog_rule_reading_an_unbound_variable(capsys, tmp_path, monkeypatch)
     assert (code, out.splitlines()[-1]) == (0, "1/1 rules pass")
 
 
+def test_catalog_without_rules(capsys, tmp_path, monkeypatch):
+    err = _catalog_error(capsys, tmp_path, monkeypatch, "# no rule yet\n")
+    assert err == f"error: no rules in catalog {tmp_path / 'rules.txt'}\n"
+
+
 def test_catalog_duplicate_rule_name(capsys, tmp_path, monkeypatch):
     block = "rule r\nlhs v\nrhs v\ncheck v == v\nend\n"
     err = _catalog_error(capsys, tmp_path, monkeypatch, block + block)

@@ -29,7 +29,15 @@ from sqrtpi.lang import (
     strip_ann,
     typecheck,
 )
-from sqrtpi.rewrite import check_equiv, rule_db, simplify, term_size, validate_rule
+from sqrtpi.rewrite import (
+    catalog_text,
+    check_equiv,
+    load_catalog,
+    rule_db,
+    simplify,
+    term_size,
+    validate_rule,
+)
 from termgen import random_terms
 
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -219,12 +227,21 @@ def test_term_table_is_steady_across_repeated_commands():
                                           CircuitGate("h", (0,)), CircuitGate("ccx", (2, 1, 0)))))
     other = compile_circuit(Circuit(3, (CircuitGate("ccx", (2, 1, 0)),)))
     rules = [r for r in rule_db() if r.family in ("E", "A", "gates")]
+    # the last rule's terms are in no other test, so only a run holds them
+    text = catalog_text(rules) + ("rule steady\nlhs vi ; swap+ ; v ; swap+\nrhs id\n"
+                                  "check vi ; swap+ ; v ; swap+ == id\nend\n")
 
     def commands():
         simplify(circuit, budget=16)
         for r in rules:
             validate_rule(r)
         check_equiv(circuit, other)
+        # check-rules on a text catalog: one load, one pair of run tables
+        loaded = load_catalog(text)
+        built, memo = {}, {}
+        for r in loaded:
+            assert validate_rule(r, built=built, memo=memo).passed, r.name
+        return weakref.ref(loaded[-1].lhs)
 
     gc.collect()
     gc.disable()
@@ -233,7 +250,9 @@ def test_term_table_is_steady_across_repeated_commands():
         commands()
         size = len(lang._TERMS)
         for _ in range(3):
-            commands()
+            steady = commands()
             assert len(lang._TERMS) == size
+            # no table of the load or of the run outlives it
+            assert steady() is None
     finally:
         gc.enable()

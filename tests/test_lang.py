@@ -5,6 +5,7 @@ from sqrtpi.lang import (
     ONE_T,
     ZERO_T,
     Ann,
+    MetaVar,
     ParseError,
     Prim,
     Prod,
@@ -161,6 +162,39 @@ def test_shared_group_memo_keeps_parse_options_apart():
         assert parse("(h ; v)", expand_macros=True) is parse("h ; v", expand_macros=True)
         with pytest.raises(ParseError, match="unknown name 'h'"):
             parse("(h ; v)")
+
+
+def _parse_error(text: str, **options) -> tuple:
+    with pytest.raises(ParseError) as e:
+        parse(text, **options)
+    return str(e.value), e.value.line, e.value.col, e.value.expected
+
+
+def test_shared_text_memo_reads_a_text_once_and_a_failure_again(monkeypatch):
+    from sqrtpi import lang
+
+    # the errors of a first read, outside any shared block
+    bad = {"?f ; v": _parse_error("?f ; v"),
+           "\n\n  v ; w )": _parse_error("\n\n  v ; w )"),
+           "v ; w\f": _parse_error("v ; w\f")}
+    reads, tokenize = [], lang._tokenize
+
+    def counting(text, ids):
+        reads.append(text)
+        return tokenize(text, ids)
+
+    monkeypatch.setattr(lang, "_tokenize", counting)
+    with lang.shared_groups():
+        vw = parse("v ; w")
+        assert parse(" v ; w \n") is vw
+        assert reads == ["v ; w"]
+        # a text that parsed with metavariables fails again without them
+        assert parse("?f ; v", allow_metavars=True) is seq(MetaVar("f"), Prim("v"))
+        # a malformed text after an equal-looking good one names its own
+        # line:col; a form feed is not whitespace to the tokenizer
+        for text, error in bad.items():
+            assert _parse_error(text) == error
+    assert reads[-3:] == list(bad)
 
 
 def test_parse_comments():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -130,6 +131,25 @@ def test_validate_corrupted_rule_reports_diff():
     rep = validate_rule(broken)
     assert not rep.passed
     assert "entry" in rep.results[0].detail
+
+
+def test_run_memos_report_what_fresh_memos_report():
+    # check-rules validates every rule through one typed-tree table and one
+    # denotation table; a rule with a wrong phase in the middle of the run,
+    # whose terms the tables already hold, must fail with the same detail
+    db = rule_db()
+    a6 = RULES["A6"]
+    wrong = dataclasses.replace(a6, name="A6wrong", phase=a6.phase + 1)
+    for loaded in (db, load_catalog(catalog_text(db))):
+        rules = list(loaded)
+        rules.insert(max(len(rules) // 2, rules.index(a6) + 1), wrong)
+        built, memo = {}, {}
+        shared = [validate_rule(r, built=built, memo=memo) for r in rules]
+        fresh = [validate_rule(r) for r in rules]
+        assert shared == fresh
+        failed = [rep for rep in shared if not rep.passed]
+        assert [rep.rule for rep in failed] == ["A6wrong"]
+        assert all(res.detail.startswith("entry (") for res in failed[0].results)
 
 
 def test_apply_bifunct():
