@@ -59,9 +59,55 @@ def late_column_files(workdir) -> dict:
     }
 
 
+# middles (X, Y) with X = Y: s;s = z; X = w^4 Y: (z;x)^2 = -1; X != Y
+CANCEL_MIDDLES = {
+    "equal": ([("s", (1,))] * 2, [("z", (1,))]),
+    "phase": ([("z", (1,)), ("x", (1,))] * 2, [("h", (1,))] * 2),
+    "not_equal": ([("t", (1,))], [("s", (1,))]),
+}
+# term pairs that share chain parts only up to annotations or types
+CANCEL_TERMS = {
+    "outer_ann": ("(h ; x ; h : 2 <-> 2)", "h ; x ; h"),
+    "inner_ann": ("(h ; x ; h : 2 <-> 2)", "h ; (x ; h : 2 <-> 2)"),
+    "ann_phase": ("(x ; z : 2 <-> 2)", "z ; x"),
+    # the parts after swap+ have one term and src but tgt 2+2*0 against 2+1*0
+    "factorzr_equal": (
+        "swap+ ; (v + factorzr) ; (id : 2+2*0 <-> 2+2*0) ; (v + absorbl) ; swap+",
+        "swap+ ; (v + factorzr) ; (id : 2+1*0 <-> 2+1*0) ; (v + absorbl) ; swap+"),
+    "factorzr_not_equal": (
+        "swap+ ; (v + factorzr) ; (id : 2+2*0 <-> 2+2*0) ; (v + absorbl) ; swap+",
+        "swap+ ; (v + factorzr) ; (id : 2+1*0 <-> 2+1*0) ; (vi + absorbl) ; swap+"),
+}
+
+
+def cancellation_files(workdir) -> dict:
+    """Pairs shaped by the chain parts both sides share: P ; X ; S against
+    P ; Y ; S with a common prefix P only, a common suffix S only, or both;
+    one side a sub-chain of the other; and the term pairs above."""
+    rng = random.Random("cancel")
+    names = [g for g, k in WIDE_GATES.items() if k <= 4]
+    p = [(g, tuple(rng.sample(range(4), WIDE_GATES[g]))) for g in rng.sample(names, 6)]
+    s = [(g, tuple(rng.sample(range(4), WIDE_GATES[g]))) for g in rng.sample(names, 6)]
+    pairs = {}
+    for kind, (x, y) in CANCEL_MIDDLES.items():
+        for shape, pre, suf in (("prefix", p, []), ("suffix", [], s), ("both", p, s)):
+            pairs[f"cancel_{shape}_{kind}"] = (pre + x + suf, pre + y + suf)
+    for kind, mid in (("equal", [("h", (2,))] * 2), ("not_equal", [("x", (2,))])):
+        pairs[f"cancel_sub_{kind}"] = (p + s, p + mid + s)
+        pairs[f"cancel_super_{kind}"] = (p + mid + s, p + s)
+    out = {name: (_write(workdir, f"{name}_a.circ", circuit_text(4, a)),
+                  _write(workdir, f"{name}_b.circ", circuit_text(4, b)))
+           for name, (a, b) in pairs.items()}
+    for name, (a, b) in CANCEL_TERMS.items():
+        out[f"cancel_{name}"] = (_write(workdir, f"cancel_{name}_a.term", a + "\n"),
+                                 _write(workdir, f"cancel_{name}_b.term", b + "\n"))
+    return out
+
+
 def equiv_cases(workdir) -> dict:
     """name -> (left, right): every ordered pair of demo files, seeded
-    equiv_wide-style pairs of 3-6 qubits and the late-column pairs."""
+    equiv_wide-style pairs of 3-6 qubits, the late-column pairs and the
+    cancellation-shaped pairs."""
     demos = sorted(os.listdir(FILES))
     cases = {f"demo {x} {y}": (os.path.join(FILES, x), os.path.join(FILES, y))
              for x in demos for y in demos}
@@ -73,6 +119,7 @@ def equiv_cases(workdir) -> dict:
                 cases[stem] = (_write(workdir, f"{stem}_a.circ", circuit_text(n, a)),
                                _write(workdir, f"{stem}_b.circ", circuit_text(n, b)))
     cases.update(late_column_files(workdir))
+    cases.update(cancellation_files(workdir))
     return cases
 
 
