@@ -14,6 +14,7 @@ override the built-in rule catalog for ``check-rules``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -161,7 +162,10 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by
+    every later one: parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="sqrtpi",
         description="Toolchain for the sqrt-Pi combinator language: exact "
@@ -220,8 +224,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("catalog", help="print the rule catalog in text form")
     p.set_defaults(fn=_cmd_catalog)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SqrtPiError, OSError) as e:

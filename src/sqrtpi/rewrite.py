@@ -564,11 +564,14 @@ def check_equiv(
 ) -> Verdict:
     """Decide semantic equivalence by exact evaluation.
 
-    ``equal_typed`` builds the parts of both sides' outermost chains through
-    one memo, so the gates the two sides share are built once, and compares
-    the two sides column by column: the first column that differs decides
-    not_equal without folding the rest.  In phase mode the first nonzero
-    entry fixes the phase.
+    ``equal_typed`` first cancels the longest common prefix and suffix of
+    the two sides' outermost chains (for circuits, the placed gates they
+    share): every part denotes a unitary, so the sides agree up to w^k iff
+    the middles do, with the same unique k.  Only the middle parts are
+    evaluated, through one memo, and the middles are compared column by
+    column: the first column that differs decides not_equal without
+    folding the rest.  In phase mode the first nonzero entry fixes the
+    phase.
     """
     a = typecheck(t1, expected)
     b = typecheck(t2, (a.src, a.tgt))

@@ -182,9 +182,10 @@ def _times_column(acols: tuple, col: tuple) -> tuple:
 
 def _chain_column(parts: list[ExactMatrix], j: int) -> tuple:
     """Column j of the chain ``parts[0] ; parts[1] ; ...``, that is of the
-    product parts[-1] . ... . parts[0], folded front to back."""
-    col = parts[0].columns[j]
-    for p in parts[1:]:
+    product parts[-1] . ... . parts[0], folded front to back from basis
+    column j (so an empty chain is the identity)."""
+    col = ((j, ONE),)
+    for p in parts:
         col = _times_column(p.columns, col)
     return col
 
@@ -416,6 +417,11 @@ def _chain_parts(t: Typed) -> list[Typed]:
     return list(t.children) if isinstance(t.term, Seq) else [t]
 
 
+def _shared_prefix(xs: list, ys: list) -> int:
+    """Length of the longest common prefix of xs and ys."""
+    return next((i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys)))
+
+
 def equal_typed(
     a: Typed,
     b: Typed,
@@ -425,16 +431,26 @@ def equal_typed(
     ``src`` and ``tgt``, as ``check_equiv`` ensures), as ``equal_matrices``
     of their denotations, without building either denotation whole.
 
-    The parts of both outermost chains are evaluated through one memo, so a
-    part the two sides share is built once.  Then column j of each side is
-    folded through its parts, and the two are compared before column j + 1
-    is folded: the first column that differs decides not_equal.
+    The longest common prefix and suffix of the two outermost chains are
+    cancelled first: parts are compared by their hash-consed ``(term, src,
+    tgt)`` key, so each comparison is O(1), and no matrix is built for them.
+    This is exact because every part denotes a unitary, so S ; Ma ; P =
+    w^k (S ; Mb ; P) holds iff Ma = w^k Mb, and the k, if any, is unique.
+    An empty middle is the identity.  The middle parts of both sides are
+    evaluated through one memo; then column j of each middle is folded
+    through its parts, and the two are compared before column j + 1 is
+    folded: the first column that differs decides not_equal.
     """
     check_dimension(a)
+    pa, pb = _chain_parts(a), _chain_parts(b)
+    ka = [(p.term, p.src, p.tgt) for p in pa]
+    kb = [(p.term, p.src, p.tgt) for p in pb]
+    n = _shared_prefix(ka, kb)
+    m = _shared_prefix(ka[n:][::-1], kb[n:][::-1])
     memo: dict = {}
-    pa = [eval_typed(p, memo) for p in _chain_parts(a)]
-    pb = [eval_typed(p, memo) for p in _chain_parts(b)]
-    columns = ((_chain_column(pa, j), _chain_column(pb, j)) for j in range(pa[0].cols))
+    ma = [eval_typed(p, memo) for p in pa[n:len(pa) - m]]
+    mb = [eval_typed(p, memo) for p in pb[n:len(pb) - m]]
+    columns = ((_chain_column(ma, j), _chain_column(mb, j)) for j in range(dimension(a.src)))
     return _compare_columns(columns, phase_mode)
 
 

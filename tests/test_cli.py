@@ -581,6 +581,20 @@ def test_qubit_limit(capsys, tmp_path):
         assert f"line 1: {n + 1} qubits exceed the limit of {n}" in err, argv
 
 
+def test_dimension_limit_comes_before_cancelling_shared_parts(capsys, tmp_path):
+    # once their shared gates cancel, these sides differ in one 1-qubit gate,
+    # yet an 11-qubit type is refused before anything is cancelled
+    sides = []
+    for name, last in (("a", "t"), ("b", "s")):
+        sides.append(tmp_path / f"{name}.circ")
+        sides[-1].write_text(f"qubits 11\nh 0\ncx 0 10\n{last} 5\nccx 1 2 3\n",
+                             encoding="utf-8")
+    for flags in ((), ("--phase",)):
+        code, out, err = run(capsys, "equiv", *map(str, sides), *flags)
+        _assert_one_line_error(code, out, err)
+        assert "dimension 2048 exceeds the evaluation limit" in err
+
+
 def test_far_over_qubit_limit_is_checked_first(capsys, tmp_path):
     circ = tmp_path / "wide.circ"
     circ.write_text("qubits 900\ncx 0 899\n", encoding="utf-8")
@@ -589,3 +603,41 @@ def test_far_over_qubit_limit_is_checked_first(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     _assert_one_line_error(code, out, err)
     assert "900 qubits exceed the limit" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main() builds its argument parser on the first call of the process and
+    # reuses it: each call prints what it printed with a parser of its own,
+    # argparse rejections and help included
+    from sqrtpi import cli
+
+    calls = [
+        ["equiv", f"{FILES}/sh_cubed.term", f"{FILES}/identity2.term", "--expand-macros",
+         "--phase"],
+        ["eval", f"{FILES}/h.term", "--json"],
+        ["equiv", f"{FILES}/h.term"],
+        ["typecheck", f"{FILES}/sw_ccx.circ"],
+        ["simplify", f"{FILES}/s_s.term", "--steps", "many"],
+        ["compile", f"{FILES}/cz_pair.circ"],
+        ["equiv", "--help"],
+        ["frobnicate"],
+        ["simplify", f"{FILES}/s_s.term", "--expand-macros", "--json"],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse exits on --help and on a rejection
+            code = f"exit {e.code}"
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(call(argv))
+    assert [code for code, _, _ in first] == [0, 0, "exit 2", 0, "exit 2", 0, "exit 0",
+                                              "exit 2", 0]
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == first
+    assert cli._parser.cache_info().misses == 1

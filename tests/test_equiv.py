@@ -1,5 +1,6 @@
 """The `equiv` verdict: pinned CLI output, an independent dense oracle, the
-parts both sides share, and the first-difference message of `check-rules`."""
+chain parts both sides share (which are never evaluated), and the
+first-difference message of `check-rules`."""
 
 import contextlib
 import hashlib
@@ -139,7 +140,8 @@ def equiv_digests(workdir) -> dict:
 
 def test_equiv_output_matches_pinned_digests(tmp_path):
     # equiv_digests.json was recorded while each side was evaluated to a full
-    # matrix and the two matrices were compared whole
+    # matrix and the two matrices were compared whole; its cancel_* entries
+    # while every chain part of both sides was evaluated
     with open(os.path.join(os.path.dirname(__file__), "equiv_digests.json"),
               encoding="utf-8") as f:
         pinned = json.load(f)
@@ -320,6 +322,39 @@ def test_streamed_verdict_on_terms(capsys, tmp_path):
             assert capsys.readouterr().out == want + "\n"
 
 
+def test_cancelled_verdict_matches_whole_matrices_on_random_terms():
+    # p ; x ; s against p ; y ; s for seeded random terms, where y is x, x
+    # times w^k or z ; x for a random z: the verdict with the shared parts
+    # cancelled is the verdict on the two whole denotations
+    from termgen import gen_from, random_type
+
+    from sqrtpi.lang import BOOL, ZERO_T, Prim, Prod, ProdC, Sum, seq
+    from sqrtpi.rewrite import check_equiv
+    from sqrtpi.semantics import equal_matrices, evaluate
+
+    rng = random.Random(14)
+    zero_dim = [ZERO_T, Prod(BOOL, ZERO_T), Sum(ZERO_T, ZERO_T)]
+    seen = set()
+    for i in range(60):
+        src = zero_dim[i] if i < len(zero_dim) else random_type(rng)
+        p, t1 = gen_from(rng, src, 3)
+        x, t2 = gen_from(rng, t1, 3)
+        s, t3 = gen_from(rng, t2, 3)
+        k = rng.randrange(1, 8)
+        z, tgt = gen_from(rng, t1, 2)
+        while tgt != t1:
+            z, tgt = gen_from(rng, t1, 2)
+        phased = seq(x, Prim("uniti*l"), ProdC(seq(*[Prim("w")] * k), Prim("id")),
+                     Prim("unite*l"))
+        for y in (x, phased, seq(z, x)):
+            a, b = seq(p, x, s), seq(p, y, s)
+            for mode in ("strict", "up_to_omega_power"):
+                want = equal_matrices(evaluate(a, (src, t3)), evaluate(b, (src, t3)), mode)
+                assert check_equiv(a, b, mode, (src, t3)) == want, (i, a, b, mode)
+                seen.add(want.kind)
+    assert seen == {"equal", "equal_with_phase", "not_equal"}
+
+
 def _typed_keys(typed) -> set:
     """(term, src, tgt) of every node under typed, typed included."""
     keys, stack = set(), [typed]
@@ -330,39 +365,40 @@ def _typed_keys(typed) -> set:
     return keys
 
 
-def test_both_sides_share_their_parts(monkeypatch):
-    # a node is built once per check_equiv: a call of eval_typed that returns
-    # a new matrix for a node it has seen is a rebuild
+def test_equiv_builds_only_the_parts_where_the_sides_differ(monkeypatch):
+    # the parts both chains share at the front and at the back cancel, so no
+    # matrix is built for them: a side against itself builds nothing, and a
+    # side with an inserted block builds only nodes under that block
     from sqrtpi import semantics
     from sqrtpi.lang import typecheck
     from sqrtpi.rewrite import check_equiv
 
     real = semantics.eval_typed
-    built: dict = {}
+    built: set = set()
 
     def counting(t, _memo=None):
-        m = real(t, _memo)
-        key = (t.term, t.src, t.tgt)
-        if built.get(key) is not m:
-            built.setdefault("misses", []).append(key)
-            built[key] = m
-        return m
+        built.add((t.term, t.src, t.tgt))
+        return real(t, _memo)
 
     monkeypatch.setattr(semantics, "eval_typed", counting)
-
-    def misses(ta, tb) -> int:
-        built.clear()
-        assert check_equiv(ta, tb).kind == "equal"
-        return len(built.get("misses", []))
-
+    blocks = {"equal": [("h", (0,))] * 2,
+              "equal_with_phase": [("s", (0,)), ("h", (0,))] * 3,
+              "not_equal": [("x", (0,))]}
     for n in (3, 5):
-        a, b = wide_pair(random.Random(f"share {n}"), n, "equal")
-        ta, tb = _circuit_term(n, a), _circuit_term(n, b)
-        parts_a = set().union(*map(_typed_keys, typecheck(ta).children))
-        parts_b = set().union(*map(_typed_keys, typecheck(tb).children))
-        alone = misses(ta, ta)
-        assert alone == len(parts_a)
-        assert misses(ta, tb) - alone <= len(parts_b - parts_a)
+        a, _ = wide_pair(random.Random(f"share {n}"), n, "equal")
+        ta = _circuit_term(n, a)
+        built.clear()
+        assert check_equiv(ta, ta).kind == "equal" and not built
+        for kind, block in blocks.items():
+            for pos in (0, len(a) // 2, len(a)):
+                b = a[:pos] + block + a[pos:]
+                tb = _circuit_term(n, b)
+                built.clear()
+                assert check_equiv(ta, tb, "up_to_omega_power").kind == kind
+                parts = typecheck(tb).children
+                assert len(parts) == len(b)  # one chain part per placed gate
+                inserted = set().union(*map(_typed_keys, parts[pos:pos + len(block)]))
+                assert built and built <= inserted, (n, kind, pos)
 
 
 # --- the first difference that check-rules reports ---------------------------
