@@ -138,8 +138,8 @@ def _cmd_check_rules(args) -> int:
             return 2
     elif not rules:
         raise SqrtPiError(f"no rules in catalog {catalog_path}")
-    built, memo = {}, {}  # typed trees and denotations, shared by the whole run
-    reports = [validate_rule(r, built=built, memo=memo) for r in rules]
+    memo: dict = {}  # denotations, shared by the whole run
+    reports = [validate_rule(r, memo=memo) for r in rules]
     width = max(len(r.name) for r in rules)
     passed = 0
     for rule, report in zip(rules, reports):

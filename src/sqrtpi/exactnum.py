@@ -30,8 +30,8 @@ class DyadicCyclotomic:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DyadicCyclotomic is immutable")
 
-    @classmethod
-    def from_coeffs(cls, nums: tuple[int, int, int, int], k: int = 0) -> DyadicCyclotomic:
+    @staticmethod
+    def from_coeffs(nums: tuple[int, int, int, int], k: int = 0) -> DyadicCyclotomic:
         """Element (n0 + n1*w + n2*w^2 + n3*w^3) / 2**k, for any integer k."""
         n0, n1, n2, n3 = nums
         if k < 0:

@@ -34,7 +34,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +181,12 @@ _SELF = object()  # the _bare of a node without annotations
 class _Node:
     """Base of the interned term nodes; == and hash are identity.  ``_bare``
     caches strip_ann (never the node itself, which would be a cycle),
-    ``_size`` caches rewrite.term_size (0 until computed) and ``_scheme``
-    the principal type that typecheck inferred (None until an inference
-    succeeds; for a primitive, its SCHEMES row; types only, see typecheck)."""
+    ``_size`` caches rewrite.term_size (0 until computed), ``_scheme`` the
+    principal type that typecheck inferred (None until an inference
+    succeeds; for a primitive, its SCHEMES row) and ``_ground`` its ground
+    types (see _ground); the last two hold types only, never a node."""
 
-    __slots__ = ("_bare", "_size", "_scheme", "__weakref__")
+    __slots__ = ("_bare", "_size", "_scheme", "_ground", "__weakref__")
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -197,7 +198,7 @@ class _Node:
                     node = object.__new__(cls)
                     for name, value in zip(cls._fields, args, strict=True):
                         setattr(node, name, value)
-                    node._bare, node._size, node._scheme = None, 0, None
+                    node._bare, node._size, node._scheme, node._ground = None, 0, None, {}
                     _TERMS[key] = node
         return node
 
@@ -662,20 +663,37 @@ def parse_type_pair(text: str) -> tuple[ValueType, ValueType]:
 # type checking (first-order unification over {0,1,+,*})
 
 
-@dataclass(frozen=True)
-class Typed:
-    """A combinator node annotated with concrete source and target types;
-    ``children`` has one entry per Seq part and per SumC/ProdC/Ann operand."""
+class Typed(NamedTuple):
+    """A combinator node at the concrete types typecheck grounded it at; a
+    plain value, so equal fields make equal Typed.  ``children`` has one
+    entry per Seq part and per SumC/ProdC/Ann operand."""
 
     term: Combinator
     src: ValueType
     tgt: ValueType
-    children: tuple["Typed", ...] = ()
+
+    @property
+    def children(self) -> tuple["Typed", ...]:
+        node, src, tgt = self
+        return _kids(node, src, tgt, node._ground[src, tgt] if isinstance(node, Seq) else ())
+
+
+def _kids(node: Combinator, src: ValueType, tgt: ValueType,
+          inner: tuple[ValueType, ...]) -> tuple[Typed, ...]:
+    """The children of node at src and tgt, given a chain's inner types."""
+    if isinstance(node, Seq):
+        types = (src, *inner, tgt)
+        return tuple(map(Typed, node.parts, types, types[1:]))
+    if isinstance(node, Ann):
+        return (Typed(node.term, src, tgt),)
+    if isinstance(node, (SumC, ProdC)):
+        return (Typed(node.left, src.left, tgt.left), Typed(node.right, src.right, tgt.right))
+    return ()
 
 
 class _Unifier:
     """The substitution and variable counter of one typecheck call, or of
-    grounding one chain's inner types in _build."""
+    grounding one chain's inner types in _ground."""
 
     def __init__(self) -> None:
         self.subst: dict[int, ValueType] = {}
@@ -783,47 +801,35 @@ def _shift(t: ValueType, delta: int) -> ValueType:
     return type(t)(_shift(t.left, delta), _shift(t.right, delta))
 
 
-def _build(node: Combinator, src: ValueType, tgt: ValueType,
-           built: dict[tuple[int, int, int], Typed]) -> Typed:
-    """The Typed tree of node at the ground types src and tgt, one Typed per
-    (node, src, tgt).  Top down, in preorder, so the first node left open is
-    the one reported.  A chain's inner types are its scheme's bounds,
-    grounded by unifying the scheme's src and tgt with src and tgt."""
-    key = (id(node), id(src), id(tgt))
-    typed = built.get(key)
-    if typed is not None:
-        return typed
-    if isinstance(node, Ann):
-        kids: tuple[Typed, ...] = (_build(node.term, src, tgt, built),)
-    elif isinstance(node, Seq):
+def _ground(node: Combinator, src: ValueType, tgt: ValueType) -> None:
+    """Record on node, and on every node below it but a primitive, its inner
+    types at the ground types src and tgt: a chain's types between its
+    parts, () for any other node.  A chain's inner types are its scheme's
+    bounds, grounded by unifying the scheme's src and tgt with src and tgt.
+    Top down, in preorder: a node checks its own types first, so the first
+    node left open is the one reported.  A record is written only once its subtree is grounded whole, so a
+    recorded (src, tgt) returns at once, and an error is raised again."""
+    if src.open or tgt.open:
+        raise UnresolvedMetavariable(node)
+    if isinstance(node, Prim) or (src, tgt) in node._ground:
+        return
+    inner: tuple[ValueType, ...] = ()
+    if isinstance(node, Seq):
         _, _, s_src, s_tgt, bounds = node._scheme
         u = _Unifier()
         u.unify(s_src, src, node)
         u.unify(s_tgt, tgt, node)
-        parts, out, prev = node.parts, [], src
-        for part, bound in zip(parts, bounds):
-            mid = u.resolve(bound)
-            if mid.open:
-                raise UnresolvedMetavariable(part)
-            out.append(_build(part, prev, mid, built))
-            prev = mid
-        out.append(_build(parts[-1], prev, tgt, built))
-        kids = tuple(out)
-    elif isinstance(node, (SumC, ProdC)):
-        kids = (_build(node.left, src.left, tgt.left, built),
-                _build(node.right, src.right, tgt.right, built))
-    else:
-        kids = ()
-    typed = built[key] = Typed(node, src, tgt, kids)
-    return typed
+        inner = tuple(map(u.resolve, bounds))
+    for kid in _kids(node, src, tgt, inner):
+        _ground(*kid)
+    node._ground[src, tgt] = inner
 
 
 def typecheck(
     c: Combinator,
     expected: Optional[tuple[ValueType, ValueType]] = None,
-    built: Optional[dict] = None,
 ) -> Typed:
-    """Infer concrete types for every node; returns the annotated tree.
+    """Infer concrete types for every node; returns the Typed root.
 
     Raises UnificationFailure on a type clash and UnresolvedMetavariable if
     the term stays polymorphic after inference (supply ``expected`` or add
@@ -837,15 +843,12 @@ def typecheck(
     node, in this call or any later one, instantiates the scheme by renaming
     its variables.  The counter advances as if the node had been inferred
     again, so a diagnostic names the same node and variables as inferring
-    every occurrence would.  A scheme is process-wide and holds types only,
-    never a node.  None is stored for a failed inference, so a failing node
-    is inferred again and raises the same error.  The result has one Typed
-    per (node, src, tgt).
+    every occurrence would.  None is stored for a failed inference, so a
+    failing node is inferred again and raises the same error.
 
-    ``built`` is the table of those Typed trees; by default each call starts
-    an empty one.  Calls that pass one table, such as the checks of one
-    ``check-rules`` run, build each (node, src, tgt) once between them.  A
-    tree is stored only once built whole, so an error is raised again.
+    The ground types of a node are recorded on it too, once per (src, tgt)
+    (see _ground), so a later call grounds only its new nodes.  Schemes and
+    records are process-wide and hold types only, never a node.
     """
     u = _Unifier()
     src, tgt = u.infer(c)
@@ -853,9 +856,8 @@ def typecheck(
         u.unify(src, expected[0], c)
         u.unify(tgt, expected[1], c)
     src, tgt = u.resolve(src), u.resolve(tgt)
-    if src.open or tgt.open:
-        raise UnresolvedMetavariable(c)
-    return _build(c, src, tgt, {} if built is None else built)
+    _ground(c, src, tgt)
+    return Typed(c, src, tgt)
 
 
 def strip_ann(c: Combinator) -> Combinator:

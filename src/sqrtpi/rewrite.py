@@ -602,21 +602,20 @@ class RuleReport:
 def validate_rule(
     rule: RewriteRule,
     instances: Optional[Sequence[tuple[Combinator, Combinator]]] = None,
-    built: Optional[dict] = None,
     memo: Optional[dict] = None,
 ) -> RuleReport:
     """Exact comparison of every instantiation; an instance too large to decide raises.
 
-    ``built`` is passed to ``typecheck`` and ``memo`` to ``evaluate``.  The
-    CLI passes the same two tables to every rule of one ``check-rules`` run,
-    so a (subterm, src, tgt) that recurs across check sides is typed and
-    evaluated once in that run; by default every call makes its own."""
+    ``memo`` is passed to ``evaluate``.  The CLI passes the same table to
+    every rule of one ``check-rules`` run, so a (subterm, src, tgt) that
+    recurs across check sides is evaluated once in that run; by default
+    every call makes its own."""
     pairs = tuple(instances) if instances is not None else rule.checks
     results = []
     for i, (lhs, rhs) in enumerate(pairs):
         try:
-            tl = typecheck(lhs, built=built)
-            tr = typecheck(rhs, (tl.src, tl.tgt), built)
+            tl = typecheck(lhs)
+            tr = typecheck(rhs, (tl.src, tl.tgt))
             ml = evaluate(tl, memo=memo)
             mr = evaluate(tr, memo=memo).times_omega_pow(rule.phase)
             if ml == mr:
@@ -758,6 +757,9 @@ def _load_catalog(text: str) -> tuple[RewriteRule, ...]:
                 if name not in SIDE_CONDITIONS:
                     raise CatalogError(f"unknown side condition {name!r}")
                 base = SIDE_CONDITIONS[name]
+                if varnames and len(varnames) != len(base.vars):
+                    raise CatalogError(f"side condition {name!r} takes {len(base.vars)} "
+                                       f"variable(s), not {len(varnames)}")
                 cur["side"] = SideCondition(name, tuple(varnames) or base.vars, base.fn)
             elif key == "lhs":
                 cur["lhs"] = parse(rest, allow_metavars=True)

@@ -356,41 +356,38 @@ def eval_typed(t: Typed, _memo: Optional[dict] = None) -> ExactMatrix:
     """Denotation of a typed combinator.
 
     The memo table is fresh per call unless one is passed, and keyed on
-    ``(t.term, t.src, t.tgt)``: a term and its ground types determine its
-    denotation, and all three are hash-consed, so the key hashes without
-    walking a tree.  Every repeated subterm evaluates once, also across two
-    ``typecheck`` results that share a memo.
+    ``t``, the value ``(term, src, tgt)``: a term and its ground types
+    determine its denotation, and all three are hash-consed, so the key
+    hashes without walking a tree.  Every repeated subterm evaluates once,
+    also across two ``typecheck`` results that share a memo.
     """
     memo = _memo if _memo is not None else {}
-    key = (t.term, t.src, t.tgt)
-    hit = memo.get(key)
+    hit = memo.get(t)
     if hit is not None:
         return hit
     term = t.term
     if isinstance(term, Prim):
         m = _prim_matrix(term.name, t.src, t.tgt)
-    elif isinstance(term, Ann):
-        m = eval_typed(t.children[0], memo)
-    elif isinstance(term, Seq):
-        # front to back: each part acts on the product of the ones before it
-        parts = [eval_typed(part, memo) for part in t.children]
-        m = ExactMatrix._of_columns(
-            parts[-1].rows, parts[0].cols,
-            tuple(_chain_column(parts, j) for j in range(parts[0].cols)))
-    elif isinstance(term, SumC):
-        m = direct_sum(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
-    elif isinstance(term, ProdC):
-        if dimension(t.src) == 0:
-            # a zero factor makes the product 0x0, so the other factor, which
-            # may be larger than the root, is not evaluated
-            m = ExactMatrix(0, 0, ())
-        else:
-            m = kronecker(eval_typed(t.children[0], memo), eval_typed(t.children[1], memo))
     elif isinstance(term, MetaVar):
         raise SqrtPiError(f"cannot evaluate pattern variable ?{term.name}")
+    elif isinstance(term, ProdC) and dimension(t.src) == 0:
+        # a zero factor makes the product 0x0, so the other factor, which
+        # may be larger than the root, is not evaluated
+        m = ExactMatrix(0, 0, ())
     else:
-        raise TypeError(f"cannot evaluate {term!r}")
-    memo[key] = m
+        kids = [eval_typed(k, memo) for k in t.children]
+        if isinstance(term, Seq):
+            # front to back: each part acts on the product of the ones before it
+            m = ExactMatrix._of_columns(
+                kids[-1].rows, kids[0].cols,
+                tuple(_chain_column(kids, j) for j in range(kids[0].cols)))
+        elif isinstance(term, SumC):
+            m = direct_sum(*kids)
+        elif isinstance(term, ProdC):
+            m = kronecker(*kids)
+        else:  # an annotation
+            m = kids[0]
+    memo[t] = m
     return m
 
 
@@ -443,10 +440,8 @@ def equal_typed(
     """
     check_dimension(a)
     pa, pb = _chain_parts(a), _chain_parts(b)
-    ka = [(p.term, p.src, p.tgt) for p in pa]
-    kb = [(p.term, p.src, p.tgt) for p in pb]
-    n = _shared_prefix(ka, kb)
-    m = _shared_prefix(ka[n:][::-1], kb[n:][::-1])
+    n = _shared_prefix(pa, pb)
+    m = _shared_prefix(pa[n:][::-1], pb[n:][::-1])
     memo: dict = {}
     ma = [eval_typed(p, memo) for p in pa[n:len(pa) - m]]
     mb = [eval_typed(p, memo) for p in pb[n:len(pb) - m]]

@@ -222,6 +222,13 @@ def test_catalog_side_without_condition_name(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: line 3: unknown side condition")
 
 
+def test_catalog_side_with_the_wrong_arity(capsys, tmp_path, monkeypatch):
+    err = _catalog_error(capsys, tmp_path, monkeypatch,
+                         "rule r\nlhs ?c ; ?ci\nrhs id\nside inverse_pair c\n"
+                         "check v ; vi == id\nend\n")
+    assert err == "error: line 5: side condition 'inverse_pair' takes 2 variable(s), not 1\n"
+
+
 def test_catalog_unknown_flag(capsys, tmp_path, monkeypatch):
     err = _catalog_error(capsys, tmp_path, monkeypatch,
                          "rule r\nflags orientd\nlhs v\nrhs v\ncheck v == v\nend\n")

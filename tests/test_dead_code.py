@@ -1,7 +1,8 @@
 """Dead-code checks over the package source, read from the AST (no linter is
-needed): every import of a module in src/sqrtpi is used in that module, and
+needed): every import of a module in src/sqrtpi is used in that module,
 every function, method and class defined there is referenced somewhere in
-src/, tests/ or demos/, or is a console-script entry point of pyproject.toml.
+src/, tests/ or demos/, or is a console-script entry point of pyproject.toml,
+and every parameter of such a function is read in its body.
 
 A reference is a name or an attribute with the definition's name, so a
 method counts as used when any object's attribute of that name is read.
@@ -66,3 +67,25 @@ def test_every_definition_is_referenced():
                 if not re.fullmatch(r"__\w+__", name) and name not in referenced:
                     unreferenced.append(f"{path.name}:{node.lineno}: {name}")
     assert unreferenced == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an option that does
+    # nothing; dunder methods keep the signature Python calls them with, and
+    # each argparse handler _cmd_*(args) takes the namespace whether it reads
+    # it or not
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if re.fullmatch(r"__\w+__|_cmd_\w+", node.name):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(p for p in (a.vararg, a.kwarg) if p is not None)]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}: {node.name}({p.arg})"
+                       for p in params if p.arg not in read]
+    assert unread == []

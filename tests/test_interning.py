@@ -161,6 +161,8 @@ def test_cached_fields_make_no_cycle():
         assert typecheck(t).src is lang.Sum(ONE_T, Prod(ONE_T, BOOL))
         assert_types_only(t._scheme)
         assert_types_only(chain._scheme)
+        assert_record_types_only(t._ground)
+        assert_record_types_only(chain._ground)
         bad = seq(t, chain)  # 1+1*2 against 1
         assert type_error(bad).startswith("cannot unify")
         assert bad._scheme is None
@@ -184,6 +186,16 @@ def assert_types_only(scheme):
             stack += [t.left, t.right]
 
 
+def assert_record_types_only(record):
+    """A ground record maps (src, tgt) to a tuple of inner types, all of them
+    closed; like a scheme, it refers to no node."""
+    assert record
+    for (src, tgt), inner in record.items():
+        assert isinstance(inner, tuple)
+        for t in (src, tgt, *inner):
+            assert isinstance(t, (lang.Zero, lang.One, lang._Pair)) and not t.open, t
+
+
 def type_error(term):
     # the exception refers to the node; only its text leaves this frame
     try:
@@ -200,14 +212,18 @@ def test_typecheck_leaves_no_cycle():
     gc.collect()
     gc.disable()
     try:
+        before = len(lang._TERMS)
         term = parse("(vi ; swap+ ; vi) * (swap+ ; vi ; swap+)")  # in no other test
         nodes = [weakref.ref(n) for n in (term, term.left, term.right)]
         typed = typecheck(term)
         assert typed.src is Prod(BOOL, BOOL)
+        assert [k.term for k in typed.children[1].children] == list(term.right.parts)
         for n in nodes:
             assert_types_only(n()._scheme)
+            assert_record_types_only(n()._ground)
         del term, typed
         assert [n() for n in nodes] == [None, None, None]
+        assert len(lang._TERMS) == before
 
         # the left factor types, the right one does not
         term = parse("(swap+ ; vi ; v ; swap+) * (vi ; swap* ; vi)")  # in no other test
@@ -215,8 +231,10 @@ def test_typecheck_leaves_no_cycle():
         assert type_error(term) == "cannot unify 2 with t5*t6 at `vi ; swap* ; vi`"
         assert_types_only(term.left._scheme)
         assert term._scheme is None and term.right._scheme is None
+        assert not term._ground and not term.left._ground  # inference failed first
         del term
         assert [n() for n in nodes] == [None, None, None]
+        assert len(lang._TERMS) == before
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -236,11 +254,11 @@ def test_term_table_is_steady_across_repeated_commands():
         for r in rules:
             validate_rule(r)
         check_equiv(circuit, other)
-        # check-rules on a text catalog: one load, one pair of run tables
+        # check-rules on a text catalog: one load, one denotation table
         loaded = load_catalog(text)
-        built, memo = {}, {}
+        memo = {}
         for r in loaded:
-            assert validate_rule(r, built=built, memo=memo).passed, r.name
+            assert validate_rule(r, memo=memo).passed, r.name
         return weakref.ref(loaded[-1].lhs)
 
     gc.collect()

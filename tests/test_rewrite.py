@@ -134,17 +134,17 @@ def test_validate_corrupted_rule_reports_diff():
 
 
 def test_run_memos_report_what_fresh_memos_report():
-    # check-rules validates every rule through one typed-tree table and one
-    # denotation table; a rule with a wrong phase in the middle of the run,
-    # whose terms the tables already hold, must fail with the same detail
+    # check-rules validates every rule through one denotation table; a rule
+    # with a wrong phase in the middle of the run, whose terms the table
+    # already holds, must fail with the same detail
     db = rule_db()
     a6 = RULES["A6"]
     wrong = dataclasses.replace(a6, name="A6wrong", phase=a6.phase + 1)
     for loaded in (db, load_catalog(catalog_text(db))):
         rules = list(loaded)
         rules.insert(max(len(rules) // 2, rules.index(a6) + 1), wrong)
-        built, memo = {}, {}
-        shared = [validate_rule(r, built=built, memo=memo) for r in rules]
+        memo = {}
+        shared = [validate_rule(r, memo=memo) for r in rules]
         fresh = [validate_rule(r) for r in rules]
         assert shared == fresh
         failed = [rep for rep in shared if not rep.passed]
@@ -379,6 +379,26 @@ def test_catalog_duplicate_rule_name():
     text = catalog_text([r for r in rule_db() if r.name in ("E1", "E2")])
     with pytest.raises(CatalogError, match="^line 22: duplicate rule 'E1'$"):
         load_catalog(text + text.split("\n", 2)[2])
+
+
+def test_catalog_side_condition_arity_is_checked():
+    # a side line names the condition's variables or none; any other count
+    # would reach the condition's function with the wrong arguments
+    rules = [r for r in rule_db() if r.side is not None]
+    text = catalog_text(rules)
+    assert [r.side for r in load_catalog(text)] == [r.side for r in rules]
+    plain = text.replace("side inverse_pair c ci\n", "side inverse_pair\n")
+    assert [r.side.vars for r in load_catalog(plain)][0] == ("c", "ci")
+    line = text.split("\n").index("side inverse_pair c ci") + 1
+    for wrong in ("c", "c ci c"):
+        bad = text.replace("side inverse_pair c ci\n", f"side inverse_pair {wrong}\n")
+        with pytest.raises(CatalogError, match=(
+                f"^line {line}: side condition 'inverse_pair' takes 2 variable\\(s\\), "
+                f"not {len(wrong.split())}$")):
+            load_catalog(bad)
+    bad = text.replace("side involutive f\n", "side involutive f g\n")
+    with pytest.raises(CatalogError, match="takes 1 variable"):
+        load_catalog(bad)
 
 
 def test_catalog_rejects_bad_version():

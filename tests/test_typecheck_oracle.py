@@ -16,6 +16,7 @@ import random
 import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from sqrtpi.lang import (
     ONE_T,
     Ann,
     Prim,
+    Prod,
     ProdC,
     Seq,
     Sum,
@@ -229,10 +231,19 @@ def agree(term, expected=None):
     for t, (node, src, tgt) in zip(got, want):
         assert t.term is node
         assert (of_lang(t.src), of_lang(t.tgt)) == (src, tgt)
-    # one Typed per (node, src, tgt)
+    # each (node, src, tgt) but a primitive's has one record on its node,
+    # which gives the chain's inner types, so equal keys give equal values
     by_key = {}
     for t in got:
-        assert by_key.setdefault((id(t.term), t.src, t.tgt), t) is t
+        record = t.term._ground.get((t.src, t.tgt))
+        if isinstance(t.term, Prim):
+            assert record is None
+        elif isinstance(t.term, Seq):
+            assert record == tuple(k.tgt for k in t.children[:-1])
+        else:
+            assert record == ()
+        first = by_key.setdefault((t.term, t.src, t.tgt), t)
+        assert first == t and first.children == t.children
     return True
 
 
@@ -468,3 +479,80 @@ def test_concurrent_typechecks_agree():
     for typed in results:
         assert [(t.term, t.src, t.tgt) for t in preorder(typed)] == want
     assert agree(term)
+
+
+def test_a_second_typecheck_grounds_nothing_new(monkeypatch):
+    term = compile_circuit(seeded_circuit(61))  # in no other test
+    first = typecheck(term)
+    records = {id(n): dict(n._ground) for n in dag_nodes(term)}
+    calls = []
+    ground = lang._ground
+
+    def counted(node, src, tgt):
+        calls.append(node)
+        return ground(node, src, tgt)
+
+    monkeypatch.setattr(lang, "_ground", counted)
+    assert typecheck(term) == first
+    # the root's record answers at once
+    assert calls == [term]
+    assert {id(n): dict(n._ground) for n in dag_nodes(term)} == records
+
+
+def test_concurrent_typechecks_walk_their_children(monkeypatch):
+    # many threads ground one polymorphic term at once, each at types of its
+    # own, so they add records to the same nodes side by side: every Typed
+    # that typecheck returned must find each record it reads, then and after
+    # the other threads are done.  A thread gives up the interpreter lock at
+    # each node it grounds, between reading the node's record and writing it,
+    # so the threads interleave there
+    kids = lang._kids
+
+    def yielding(*args):
+        time.sleep(0)
+        return kids(*args)
+
+    monkeypatch.setattr(lang, "_kids", yielding)
+    chain = seq(*[Prim("swap*")] * 6)  # a*b <-> a*b
+    term = SumC(chain, ProdC(chain, Ann(chain, Prod(BOOL, ONE_T), Prod(BOOL, ONE_T))))
+    count = 8
+
+    def wide(n):  # 1+(1+(...)) with n ones: one type per thread
+        t = ONE_T
+        for _ in range(n - 1):
+            t = Sum(ONE_T, t)
+        return t
+
+    types = []
+    for i in range(count):
+        a, b = wide(i + 11), wide(2 * i + 30)
+        ty = Sum(Prod(a, b), Prod(Prod(b, a), Prod(BOOL, ONE_T)))
+        types.append((ty, ty))
+    barrier = threading.Barrier(count)
+    results, walks, errors = [None] * count, [None] * count, []
+
+    def work(i):
+        barrier.wait(timeout=60)
+        try:
+            results[i] = typecheck(term, types[i])
+            for _ in range(20):  # while the other threads still add records
+                walks[i] = preorder(results[i])
+        except Exception as e:  # reported below, with the thread's index
+            errors.append((i, e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for typed, walk, ty in zip(results, walks, types):
+        assert preorder(typed) == walk
+        assert agree(term, ty)
+    assert len(chain._ground) >= count
