@@ -391,7 +391,7 @@ MAX_NESTING = 100
 
 # Group 1 is the next token after any whitespace and comments, and "" at the
 # end of the input.  A character that starts no token is a token of its own,
-# which _tokenize rejects.  Compound names (swap+ ...) must come before names
+# which the parser rejects.  Compound names (swap+ ...) must come before names
 # and the catch-all "." last; no other two alternatives match at the same
 # place, so the most frequent tokens are tried first.
 _TOKEN_RE = re.compile(
@@ -402,31 +402,27 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _ONE_CHAR_TOKEN = re.compile(r"[A-Za-z\d;+*():,=]")
+# Ends at the next "(" or ")" outside a comment, or at the end of the input.
+_RUN_RE = re.compile(r"[^()#]*(?:#[^\n]*[^()#]*)*")
 _TYPE_LITERALS = {"0": ZERO_T, "1": ONE_T, "2": BOOL}
-
-
-def _parse_error(text: str, i: int, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
-    """The error at token i; its offset is found again only now."""
-    pos = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
-    line = text.count("\n", 0, pos) + 1
-    return ParseError(msg, line, pos - text.rfind("\n", 0, pos), expected)
 
 
 class _GroupMemo:
     """The parenthesized groups, and the whole texts, read by one parse
-    call, or by every call inside one shared_groups() block.  ``ids``
-    numbers each distinct group content (its tokens, with each inner group
-    replaced by its number), so groups with equal token slices get one
-    number, in time linear in the tokens.  ``nodes`` maps (number, context) to the node of a group that
-    parsed and the nesting depth it reached, counted from outside its "(".
-    ``texts`` maps (text, expand_macros, allow_metavars) to the node of a
-    whole text that parsed, the text stripped of the whitespace that the
-    tokenizer skips; a text that failed is never stored, so it is read again
-    and raises the same error."""
+    call, or by every call inside one shared_groups() block.  ``groups``
+    maps (head, context) to {text: (node, peak)}: text is the exact text of
+    a group that parsed, from its "(" to its ")", head is that text up to
+    its first ")" character, node is what it parsed to and peak the nesting
+    depth it reached, counted from outside its "(".  Group texts are prefix
+    free (a group ends where its first "(" closes), so at most one entry of
+    a bucket starts at a given offset.  ``texts`` maps (text,
+    expand_macros, allow_metavars) to the node of a whole text that parsed,
+    the text stripped of the whitespace that the tokenizer skips; a text
+    that failed is never stored, so it is read again and raises the same
+    error."""
 
     def __init__(self) -> None:
-        self.ids: dict[tuple, int] = {}
-        self.nodes: dict[tuple, tuple] = {}
+        self.groups: dict[tuple, dict[str, tuple]] = {}
         self.texts: dict[tuple, Combinator] = {}
 
 
@@ -445,35 +441,14 @@ def shared_groups():
         _SHARED.memo = outer
 
 
-def _tokenize(text: str, ids: dict[tuple, int]) -> tuple[list[str], dict[int, tuple[int, int]]]:
-    """The tokens of text, ending in "", and for each "(" that has a ")" the
-    index of that ")" and the number of the group's content."""
-    toks = _TOKEN_RE.findall(text)
-    bad = [t for t in set(toks) if len(t) == 1 and not _ONE_CHAR_TOKEN.match(t)]
-    if bad:
-        i = min(map(toks.index, bad))
-        raise _parse_error(text, i, f"unexpected character {toks[i]!r}")
-    matched: dict[int, tuple[int, int]] = {}
-    stack: list[tuple[int, list]] = []  # open groups: index of "(", outer content
-    content: list = []
-    for i, t in enumerate(toks):
-        if t == "(":
-            stack.append((i, content))
-            content = []
-        elif t == ")" and stack:
-            start, outer = stack.pop()
-            gid = ids.setdefault(tuple(content), len(ids))
-            matched[start] = (i, gid)
-            outer.append(gid)
-            content = outer
-        else:
-            content.append(t)
-    return toks, matched
-
-
 class _Parser:
-    """Recursive descent over a flat token list; ``i`` indexes the current
-    token, and an error finds its offset again (see _parse_error)."""
+    """Recursive descent over the tokens of text, read one run at a time.  A
+    run is the tokens from offset ``start`` up to the next "(" or ")" at
+    offset ``end``; ``toks`` holds them and ends in that parenthesis, or in
+    "" at the end of the input.  Only a group's "(" and ")" move to the next
+    run, so a group found in the memo is passed over without reading its
+    tokens.  ``i`` indexes the current token of the run; an error finds its
+    offset by reading the run again (see _error)."""
 
     def __init__(
         self,
@@ -483,17 +458,43 @@ class _Parser:
     ):
         self.text = text
         self.memo = getattr(_SHARED, "memo", None) or _GroupMemo()
-        self.toks, self.matched = _tokenize(text, self.memo.ids)
-        self.i = 0
         self.macros = macros
         self.allow_metavars = allow_metavars
         self.context = (macros is not None, allow_metavars)  # of term groups
         self.depth = 0
         self.peak = 0  # deepest level reached in the innermost open group
+        self._read(0)
+
+    def _read(self, pos: int) -> None:
+        """Make the run that starts at offset pos the current one."""
+        text = self.text
+        m = _TOKEN_RE.match(text, pos)
+        if m[1] in "()":  # "(", ")" or the end: an empty run, as in "((" or "))"
+            self.toks, self.end = [m[1]], m.start(1)
+        else:
+            self.end = _RUN_RE.match(text, pos).end()
+            self.toks = _TOKEN_RE.findall(text, pos, self.end + 1)
+        self.start, self.i = pos, 0
 
     def _error(self, msg: str, i: Optional[int] = None,
                expected: tuple[str, ...] = ()) -> ParseError:
-        return _parse_error(self.text, self.i if i is None else i, msg, expected)
+        """The error at token i of the run, by default the current one, unless
+        the text has a character that starts no token: then the error is at
+        the first such character, wherever it is.  Only this error path reads
+        the whole text."""
+        text = self.text
+        toks = _TOKEN_RE.findall(text)
+        bad = [t for t in set(toks) if len(t) == 1 and not _ONE_CHAR_TOKEN.match(t)]
+        if bad:
+            i = min(map(toks.index, bad))
+            pos = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+            msg, expected = f"unexpected character {toks[i]!r}", ()
+        else:
+            i = self.i if i is None else i
+            pos = next(itertools.islice(
+                _TOKEN_RE.finditer(text, self.start, self.end + 1), i, None)).start(1)
+        line = text.count("\n", 0, pos) + 1
+        return ParseError(msg, line, pos - text.rfind("\n", 0, pos), expected)
 
     def _unexpected(self, expected: tuple[str, ...], where: str = "") -> ParseError:
         t = self.toks[self.i]
@@ -528,9 +529,9 @@ class _Parser:
                 self.i += 1
                 self._deeper()
                 prods.append(operand())
-            sums.append(self._fold(prods, make_prod))
+            sums.append(self._fold(prods, make_prod) if len(prods) > 1 else prods[0])
             if self.toks[self.i] != "+":
-                return self._fold(sums, make_sum)
+                return self._fold(sums, make_sum) if len(sums) > 1 else sums[0]
             self.i += 1
             self._deeper()
 
@@ -543,24 +544,26 @@ class _Parser:
 
     def _group(self, inner, context):
         """"(" inner ")", or the node of an equal group read before, unless
-        reusing it would cross MAX_NESTING here (then the parse raises)."""
-        start = self.i
-        match = self.matched.get(start)
-        if match is not None:
-            key = (match[1], context)
-            hit = self.memo.nodes.get(key)
-            if hit is not None and self.depth + hit[1] <= MAX_NESTING:
-                self.i = match[0] + 1
-                self.peak = max(self.peak, self.depth + hit[1])
-                return hit[0]
+        reusing it would cross MAX_NESTING here (then the parse raises).  The
+        "(" ends the current run."""
+        text, start = self.text, self.end
+        head = (text[start:text.find(")", start) + 1], context)
+        for group, (node, peak) in self.memo.groups.get(head, {}).items():
+            if text.startswith(group, start):
+                if self.depth + peak <= MAX_NESTING:
+                    self._read(start + len(group))
+                    self.peak = max(self.peak, self.depth + peak)
+                    return node
+                break
         outer_peak, self.peak = self.peak, self.depth
-        self.i = start + 1
+        self._read(start + 1)
         self._deeper()
         node = inner()
         self._expect(")")
+        self._read(self.end + 1)  # the ")" ends its run
         self.depth -= 1
-        if match is not None:
-            self.memo.nodes[key] = (node, self.peak - self.depth)
+        self.memo.groups.setdefault(head, {})[text[start:self.start]] = (
+            node, self.peak - self.depth)
         self.peak = max(outer_peak, self.peak)
         return node
 
@@ -571,7 +574,7 @@ class _Parser:
         while self.toks[self.i] == ";":
             self.i += 1
             parts.append(self._sum(self.atom, SumC, ProdC))
-        t = seq(*parts)
+        t = seq(*parts) if len(parts) > 1 else parts[0]
         if self.toks[self.i] == ":":
             self.i += 1
             src = self.type_()

@@ -177,13 +177,14 @@ def test_shared_text_memo_reads_a_text_once_and_a_failure_again(monkeypatch):
     bad = {"?f ; v": _parse_error("?f ; v"),
            "\n\n  v ; w )": _parse_error("\n\n  v ; w )"),
            "v ; w\f": _parse_error("v ; w\f")}
-    reads, tokenize = [], lang._tokenize
+    reads, read = [], lang._Parser._read
 
-    def counting(text, ids):
-        reads.append(text)
-        return tokenize(text, ids)
+    def counting(parser, pos):
+        if pos == 0:  # the first run of a text
+            reads.append(parser.text)
+        read(parser, pos)
 
-    monkeypatch.setattr(lang, "_tokenize", counting)
+    monkeypatch.setattr(lang._Parser, "_read", counting)
     with lang.shared_groups():
         vw = parse("v ; w")
         assert parse(" v ; w \n") is vw

@@ -19,8 +19,9 @@ import os
 import random
 import re
 
+from sqrtpi import lang
 from sqrtpi.cli import main
-from sqrtpi.lang import MAX_NESTING, pretty, type_str
+from sqrtpi.lang import MAX_NESTING, ParseError, parse, pretty, shared_groups, type_str
 from sqrtpi.rewrite import catalog_text
 
 from termgen import random_terms
@@ -186,3 +187,63 @@ def test_parse_error_output_matches_pinned_digests(tmp_path, monkeypatch):
     with open(DIGESTS, encoding="utf-8") as f:
         pinned = json.load(f)
     assert parse_error_digests(str(tmp_path), monkeypatch) == pinned
+
+
+# what a warm/cold mutant drops, inserts or puts in place of a token: the
+# parentheses of a group, a comment holding a "(", a character that starts
+# no token, and ordinary tokens
+WARM_COLD_TOKENS = ("(", ")", "# (\n", "@", "v", ";", "*", "+", "2", ":", "?f", "h", "<->")
+
+
+def _token_mutant(rng: random.Random, text: str) -> str:
+    """text with one token dropped, another inserted before it, or replaced."""
+    m = rng.choice(list(TOKEN_RE.finditer(text)))
+    new = ["", f"{rng.choice(WARM_COLD_TOKENS)} {m[0]}", rng.choice(WARM_COLD_TOKENS)]
+    return text[:m.start()] + rng.choice(new) + text[m.end():]
+
+
+def _outcome(text: str, options: dict):
+    try:
+        return parse(text, **options)
+    except ParseError as e:
+        return str(e), e.line, e.col, e.expected
+
+
+def test_warm_parse_equals_cold_parse(monkeypatch):
+    # a parse that skips the groups earlier parses read must give what a
+    # parse with a fresh memo gives: the same node or the same error
+    rng = random.Random(22)
+    terms = [f"{pretty(t)} : {type_str(s)} <-> {type_str(g)}"
+             for t, s, g in random_terms(23, 120, max_depth=6)]
+    bases = [(t, {"allow_metavars": True}) for t in _pattern_texts()]
+    bases += [(t, {}) for t in terms] + [(t, {"expand_macros": True}) for t in _demo_texts()]
+    # a group read at depth 0, then reused up to and past the nesting limit
+    group = "(" * 50 + "v ; w" + ")" * 50
+    bases.append((group, {}))
+    inputs = list(bases)
+    inputs += [("(" * k + group + ")" * k, {}) for k in (49, 50, 51)]
+    inputs += [(" * ".join(["w"] * k + [group]), {}) for k in (50, 51)]
+    for text, options in bases:
+        inputs += [(_token_mutant(rng, text), options) for _ in range(2)]
+    reads = []
+    read = lang._Parser._read
+
+    def counting(parser, pos):
+        reads.append(pos)
+        read(parser, pos)
+
+    monkeypatch.setattr(lang._Parser, "_read", counting)
+    cold = [_outcome(text, options) for text, options in inputs]
+    cold_reads = len(reads)
+    with shared_groups():
+        for text, options in bases:
+            parse(text, **options)
+        del reads[:]
+        for (text, options), want in zip(inputs, cold):
+            got = _outcome(text, options)
+            if isinstance(want, tuple):
+                assert got == want, text
+            else:
+                assert got is want, text
+    assert sum(isinstance(w, tuple) for w in cold) > len(inputs) // 5
+    assert len(reads) < cold_reads // 2  # the groups were passed over, not read

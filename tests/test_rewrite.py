@@ -327,6 +327,27 @@ def test_long_chain_trace_is_pinned():
     assert [_trace_digest(trace)] == pinned[LONG_CHAIN]
 
 
+def test_fallback_only_inverse_pair_traces_are_pinned():
+    # linv◎l (`?c ; ?ci`) takes this chain only through the whole-window
+    # fallback of _rewrite_node: its prefix match fails, and then ?ci absorbs
+    # the rest of the window, `swap+ ; vi`.  The mirror is left unchanged,
+    # because a leading metavariable cannot absorb a prefix window.  Both
+    # traces are pinned as they are, so that a change to the fallback shows
+    term = parse("(v ; swap+ : 2 <-> 2) ; swap+ ; vi")
+    out, trace = simplify(term)
+    assert out is Prim("id")
+    assert trace.to_json() == {
+        "start": "(v ; swap+ : 2 <-> 2) ; swap+ ; vi", "omega_power": 0,
+        "steps": [{"rule": "linv◎l", "path": [], "direction": "forward", "phase": 0,
+                   "term_after": "id"}],
+    }
+    mirror = parse("vi ; swap+ ; (swap+ ; v : 2 <-> 2)")
+    out, trace = simplify(mirror)
+    assert out is mirror
+    assert trace.to_json() == {
+        "start": "vi ; swap+ ; (swap+ ; v : 2 <-> 2)", "omega_power": 0, "steps": []}
+
+
 def test_trace_json():
     _, trace = simplify(seq(Prim("id"), Prim("v")), expected=(BOOL, BOOL))
     data = trace.to_json()

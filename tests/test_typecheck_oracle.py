@@ -444,29 +444,42 @@ def test_results_do_not_depend_on_a_warm_cache():
     assert warmed_failures > 100 and ill_typed > 100
 
 
-def test_concurrent_typechecks_agree():
+def test_concurrent_typechecks_agree(monkeypatch):
     # a circuit no other test builds, so its placed gates are not yet typed;
     # each scheme is published in one assignment, so a thread sees a whole
-    # scheme or none
+    # scheme or none.  A thread gives up the interpreter lock at each
+    # inference and each resolve, all of which a chain makes between reading
+    # its empty scheme and publishing its own, so the threads interleave
+    # there.  Each thread typechecks the placed gates one by one, so it
+    # grounds a gate's chains right after it reads their schemes
+    def yielding(method):
+        def call(*args):
+            time.sleep(0)
+            return method(*args)
+        return call
+
+    for name in ("infer", "resolve"):
+        monkeypatch.setattr(lang._Unifier, name, yielding(getattr(lang._Unifier, name)))
     rng = random.Random(97)
     gates = tuple(CircuitGate(g, tuple(rng.sample(range(7), CIRCUIT_GATES[g])))
                   for g in rng.choices(sorted(CIRCUIT_GATES), k=40))
     term = compile_circuit(Circuit(7, gates))
     assert term._scheme is None
-    barrier = threading.Barrier(4)
-    results, errors = [None] * 4, []
+    pieces = (*term.parts, term)
+    barrier = threading.Barrier(8)
+    results, errors = [None] * 8, []
 
     def work(i):
         barrier.wait(timeout=60)
         try:
-            results[i] = typecheck(term)
+            results[i] = [typecheck(p) for p in pieces]
         except Exception as e:  # reported below, with the thread's index
             errors.append((i, e))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -475,9 +488,9 @@ def test_concurrent_typechecks_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    want = [(t.term, t.src, t.tgt) for t in preorder(typecheck(term))]
+    want = [[(t.term, t.src, t.tgt) for t in preorder(typecheck(p))] for p in pieces]
     for typed in results:
-        assert [(t.term, t.src, t.tgt) for t in preorder(typed)] == want
+        assert [[(t.term, t.src, t.tgt) for t in preorder(x)] for x in typed] == want
     assert agree(term)
 
 
