@@ -134,8 +134,7 @@ def _cmd_check_rules(args) -> int:
     if args.family:
         rules = [r for r in rules if r.family == args.family]
         if not rules:
-            print(f"no rules in family {args.family!r}", file=sys.stderr)
-            return 2
+            raise SqrtPiError(f"no rules in family {args.family!r}")
     elif not rules:
         raise SqrtPiError(f"no rules in catalog {catalog_path}")
     memo: dict = {}  # denotations, shared by the whole run

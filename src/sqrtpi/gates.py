@@ -241,8 +241,8 @@ def macro_table() -> dict[str, Combinator]:
 def gate_macros() -> dict[str, GateMacro]:
     g: dict[str, GateMacro] = {}
 
-    def add(name, term, src, tgt=None, qubits=None):
-        g[name] = GateMacro(name, src, tgt if tgt is not None else src, term, qubits)
+    def add(name, term, ty, qubits=None):
+        g[name] = GateMacro(name, ty, ty, term, qubits)
 
     for name, term in [
         ("x", x_gate()),

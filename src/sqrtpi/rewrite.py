@@ -2,9 +2,10 @@
 
 Matching is syntactic first-order, modulo two things only: ``;`` chains are
 flat (``lang.Seq``), and type annotations are transparent (they are
-re-established by typechecking the rewritten term).  A rule's pattern chain
-may match a prefix window of a longer chain; the unmatched tail is kept.
-Every applied step is checked to preserve the term's type, so traces are
+re-established by typechecking the rewritten term).  A pattern chain meets
+a window of a longer chain in one pass (``_rewrite_node``): the window's
+tail past the match is kept, or a trailing metavariable absorbs it.  Every
+applied step is checked to preserve the term's type, so traces are
 well-typed throughout.  ``simplify`` tries at each position only the rules
 whose LHS has the position's head (``RuleIndex``).
 
@@ -158,28 +159,26 @@ def term_size(t: Combinator) -> int:
 # --- matching / substitution ------------------------------------------------
 
 
-def match(pat: Combinator, term: Combinator, binding: Optional[dict] = None):
-    """First-order match of a pattern against a term (annotations are
+def match(pat: Combinator, term: Combinator):
+    """First-order match of a pattern against a whole term (annotations are
     transparent on both sides).  Returns the binding dict or None.
 
-    Inside a sequential chain, a trailing metavariable absorbs the rest of
-    the chain.
+    A pattern chain matches a chain of as many parts, or of more parts when
+    its last part is a metavariable, which then absorbs the rest.
     """
-    b = {} if binding is None else binding
+    b: dict = {}
     return b if _match(pat, term, b) else None
 
 
-def _match(pat: Combinator, term: Combinator, b: dict, k: int = 0) -> bool:
-    """Match against the position (term, k)."""
+def _match(pat: Combinator, term: Combinator, b: dict) -> bool:
     if isinstance(pat, MetaVar):
-        term = _window(term, k)
         prev = b.get(pat.name)
         if prev is None:
             b[pat.name] = term
             return True
         return strip_ann(prev) is strip_ann(term)
     if isinstance(pat, Ann):
-        return _match(pat.term, term, b, k)
+        return _match(pat.term, term, b)
     if isinstance(term, Ann):
         return _match(pat, term.term, b)
     if isinstance(pat, Prim):
@@ -188,12 +187,11 @@ def _match(pat: Combinator, term: Combinator, b: dict, k: int = 0) -> bool:
         if not isinstance(term, Seq):
             return False
         ps, ts = pat.parts, term.parts
-        m, n = len(ps), len(ts) - k
+        m, n = len(ps), len(ts)
         if m > n or (m < n and not isinstance(ps[-1], MetaVar)):
             return False
-        # a trailing metavariable absorbs the rest of a longer window
-        return (all(_match(ps[i], ts[k + i], b) for i in range(m - 1))
-                and _match(ps[-1], ts[-1] if m == n else _window(term, k + m - 1), b))
+        return (all(_match(ps[i], ts[i], b) for i in range(m - 1))
+                and _match(ps[-1], _window(term, m - 1), b))
     if isinstance(pat, SumC):
         return (
             isinstance(term, SumC)
@@ -399,24 +397,28 @@ class RuleIndex:
 
 def _rewrite_node(node: Combinator, k: int, lhs: Combinator, rhs: Combinator,
                   side: Optional[SideCondition]) -> Optional[Combinator]:
-    """Rewrite the position (node, k), trying a pattern chain on the prefix
-    of the window first; returns the replacement, or None on no match."""
+    """Rewrite the position (node, k); returns the replacement, or None on
+    no match.  A pattern chain's first m-1 parts meet the window once; its
+    last part takes the next chain part, keeping the tail, or if that or the
+    side condition fails and it is a metavariable, the rest of the window.
+    Any other pattern matches the whole window."""
+    b: dict = {}
     if isinstance(lhs, Seq) and isinstance(node, Seq):
         ps, ts = lhs.parts, node.parts
-        m, n = len(ps), len(ts) - k
-        if m > n:
+        m, last = len(ps), ps[-1]
+        if k + m > len(ts) or not all(_match(ps[i], ts[k + i], b) for i in range(m - 1)):
             return None
-        b: dict = {}
-        if (all(_match(ps[i], ts[k + i], b) for i in range(m))
-                and (side is None or side.holds(b))):
+        fresh = isinstance(last, MetaVar) and last.name not in b
+        if _match(last, ts[k + m - 1], b) and (side is None or side.holds(b)):
             return seq(subst(rhs, b), *ts[k + m:])
-        if m == n:
-            return None  # the whole-window match below would repeat this one
-        # fall through: a trailing metavariable may absorb the rest of the window
-    b2: dict = {}
-    if not _match(lhs, node, b2, k) or (side is not None and not side.holds(b2)):
-        return None
-    return subst(rhs, b2)
+        if k + m == len(ts) or not isinstance(last, MetaVar):
+            return None
+        if fresh:
+            del b[last.name]  # bound just above to one part, not to the rest
+        lhs, k = last, k + m - 1  # the metavariable meets the rest of the window
+    if _match(lhs, _window(node, k), b) and (side is None or side.holds(b)):
+        return subst(rhs, b)
+    return None
 
 
 def apply_rule(
@@ -486,12 +488,10 @@ class RewriteTrace:
 def replay(
     term: Combinator,
     script: Sequence[tuple[str, Sequence[int], str]],
-    rules: Optional[dict[str, RewriteRule]] = None,
     expected: Optional[tuple[ValueType, ValueType]] = None,
 ) -> RewriteTrace:
     """Execute a fixed derivation script: (rule name, path, direction) steps."""
-    if rules is None:
-        rules = rules_by_name()
+    rules = rules_by_name()
     t = term
     steps: list[RewriteStep] = []
     for name, path, direction in script:
@@ -601,18 +601,17 @@ class RuleReport:
 
 def validate_rule(
     rule: RewriteRule,
-    instances: Optional[Sequence[tuple[Combinator, Combinator]]] = None,
     memo: Optional[dict] = None,
 ) -> RuleReport:
-    """Exact comparison of every instantiation; an instance too large to decide raises.
+    """Exact comparison of every recorded instantiation (``rule.checks``); an
+    instance too large to decide raises.
 
     ``memo`` is passed to ``evaluate``.  The CLI passes the same table to
     every rule of one ``check-rules`` run, so a (subterm, src, tgt) that
     recurs across check sides is evaluated once in that run; by default
     every call makes its own."""
-    pairs = tuple(instances) if instances is not None else rule.checks
     results = []
-    for i, (lhs, rhs) in enumerate(pairs):
+    for i, (lhs, rhs) in enumerate(rule.checks):
         try:
             tl = typecheck(lhs)
             tr = typecheck(rhs, (tl.src, tl.tgt))
@@ -735,6 +734,8 @@ def _load_catalog(text: str) -> tuple[RewriteRule, ...]:
             if key == "rule":
                 if cur is not None:
                     raise CatalogError("nested rule block")
+                if not rest:
+                    raise CatalogError("rule needs a name")
                 if rest in names:
                     raise CatalogError(f"duplicate rule {rest!r}")
                 names.add(rest)

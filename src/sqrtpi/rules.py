@@ -298,9 +298,9 @@ def _build_b_family(rules: list[RewriteRule]) -> None:
 
 
 def _build_d_family(rules: list[RewriteRule]) -> None:
-    def d(name, lhs, rhs, *, oriented=False, phase=0):
+    def d(name, lhs, rhs, *, oriented=False):
         rules.append(
-            _rule(name, "D", lhs, rhs, phase=phase, oriented=oriented,
+            _rule(name, "D", lhs, rhs, oriented=oriented,
                   checks=[(lhs, rhs), _embed_pair(lhs, rhs)])
         )
 

@@ -452,7 +452,7 @@ def equal_typed(
 # --- display ---------------------------------------------------------------
 
 
-def render(m: ExactMatrix, unicode_ok: bool = True) -> str:
+def render(m: ExactMatrix) -> str:
     """Text display over a common 2^k * sqrt(2)^m denominator."""
     if m.rows == 0 or m.cols == 0:
         return f"({m.rows}x{m.cols} matrix)"
@@ -479,9 +479,8 @@ def render(m: ExactMatrix, unicode_ok: bool = True) -> str:
     ]
     if half_steps == 0:
         return "\n".join(lines)
-    root = "√2" if unicode_ok else "sqrt(2)"
     whole, half = divmod(half_steps, 2)
-    den = (str(1 << whole) if whole else "") + (root if half else "")
+    den = (str(1 << whole) if whole else "") + ("√2" if half else "")
     return f"1/{den} *\n" + "\n".join(lines)
 
 

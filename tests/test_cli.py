@@ -146,9 +146,10 @@ def test_check_rules_family_a(capsys):
 
 
 def test_check_rules_unknown_family(capsys):
-    code, _, err = run(capsys, "check-rules", "--family", "Q")
+    code, out, err = run(capsys, "check-rules", "--family", "Q")
     assert code == 2
-    assert "no rules" in err
+    assert out == ""
+    assert err == "error: no rules in family 'Q'\n"
 
 
 def test_check_rules_catalog_override(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,7 @@ import random
 
 import pytest
 
+import sqrtpi.rewrite as rewrite
 from sqrtpi.circuits import parse_circuit, compile_circuit
 from sqrtpi.gates import (
     ctrl,
@@ -44,6 +46,7 @@ from sqrtpi.rewrite import (
     RuleIndex,
     _is_syntactic_inverse,
     _key,
+    _metavars,
     _rewrite_node,
     apply_rule,
     catalog_text,
@@ -56,6 +59,7 @@ from sqrtpi.rewrite import (
     rule_db,
     rules_by_name,
     simplify,
+    subst,
     term_size,
     validate_rule,
 )
@@ -402,6 +406,12 @@ def test_catalog_duplicate_rule_name():
         load_catalog(text + text.split("\n", 2)[2])
 
 
+def test_catalog_rule_needs_a_name():
+    text = catalog_text([RULES["E1"]]).replace("rule E1", "rule  ")
+    with pytest.raises(CatalogError, match="^line 3: rule needs a name$"):
+        load_catalog(text)
+
+
 def test_catalog_side_condition_arity_is_checked():
     # a side line names the condition's variables or none; any other count
     # would reach the condition's function with the wrong arguments
@@ -526,6 +536,116 @@ def _assert_index_exact(rules, term, want_hits=()):
         assert list(offered) == [r for r in rules if r in offered]
         hit_names.update(r.name for r in hits)
     assert set(want_hits) <= hit_names, set(want_hits) - hit_names
+
+
+def _two_pass_rewrite(node, k, lhs, rhs, side, windows):
+    """The position (node, k) rewritten in two passes of the public match:
+    the pattern against the prefix window of its length, keeping the tail,
+    then against the whole window.  The oracle of _rewrite_node; windows
+    caches the windows it builds, by (node, k, end)."""
+    def bind(end):
+        window = windows.get((node, k, end))
+        if window is None:
+            window = seq(*node.parts[k:end]) if isinstance(node, Seq) else node
+            windows[node, k, end] = window
+        b = match(lhs, window)
+        return b if b is not None and (side is None or side.holds(b)) else None
+
+    n = len(node.parts) if isinstance(node, Seq) else 0
+    if isinstance(lhs, Seq) and k + len(lhs.parts) <= n:
+        end = k + len(lhs.parts)
+        b = bind(end)
+        if b is not None:
+            return seq(subst(rhs, b), *node.parts[end:])
+    b = bind(n)
+    return None if b is None else subst(rhs, b)
+
+
+def _outcome(rewrite, *args):
+    try:
+        return rewrite(*args)
+    except NoMatch as e:  # matched, but the pattern side lacks a variable
+        return str(e)
+
+
+def _probe(pattern, rhs):
+    """A small stand-in for rhs that shows the whole binding of pattern and
+    needs every variable that rhs needs: the same binding and tail give the
+    same rewrite of rhs itself."""
+    out = Prim("id")
+    for name in sorted(_metavars(pattern) | _metavars(rhs), reverse=True):
+        out = ProdC(MetaVar(name), out)
+    return out
+
+
+def test_one_pass_match_agrees_with_two_pass_reference():
+    rng = random.Random(17)
+    terms = [term for _, term in _demo_terms()]
+    terms += [term for term, _, _ in random_terms(seed=43, count=150)]
+    terms += [_random_gate_chain(rng) for _ in range(150)]
+    terms += [_reannotate(rng, term) for term in terms[-300:]]
+    terms.append(parse("(v ; swap+ : 2 <-> 2) ; swap+ ; vi"))
+    sides = [(r.lhs, _probe(r.lhs, r.rhs), r.side) for r in rule_db()]
+    # apply_rule's backward direction uses the rhs as the pattern
+    sides += [(r.rhs, _probe(r.rhs, r.lhs), r.side) for r in rule_db()]
+    # a trailing variable bound before it, and an annotated chain pattern
+    for text in ("?c ; ?c", "?c ; ?d ; ?c", "(?c ; ?d : 2 <-> 2)", "(?c ; id : 2 <-> 2)"):
+        pat = parse(text, allow_metavars=True)
+        sides.append((pat, _probe(pat, pat), None))
+    # interned nodes: a position that recurs is the same (node, k) pair
+    positions = dict.fromkeys((node, k) for term in terms for _, node, k in iter_paths(term))
+    windows, hits = {}, 0
+    for node, k in positions:
+        for lhs, rhs, side in sides:
+            want = _outcome(_two_pass_rewrite, node, k, lhs, rhs, side, windows)
+            assert _outcome(_rewrite_node, node, k, lhs, rhs, side) == want, (
+                pretty(node), k, pretty(lhs))
+            hits += want is not None
+    assert len(positions) > 3000 and hits > 20_000, (len(positions), hits)
+
+
+def test_chain_prefix_is_matched_once_per_position(monkeypatch):
+    # the first m-1 parts of a pattern chain meet the window once at each
+    # position, also when the last part then absorbs the rest of the window
+    entered = collections.Counter()
+    real = rewrite._match
+
+    def counting(pat, term, *rest):
+        entered[pat, term] += 1
+        return real(pat, term, *rest)
+
+    monkeypatch.setattr(rewrite, "_match", counting)
+    absorbing = parse("(v ; swap+ : 2 <-> 2) ; swap+ ; vi")
+    rng = random.Random(5)
+    terms = [absorbing, *(term for _, term in _demo_terms())]
+    terms += [_random_gate_chain(rng) for _ in range(50)]
+    positions = dict.fromkeys((node, k) for term in terms
+                              for _, node, k in iter_paths(term) if isinstance(node, Seq))
+    rules = [(r.lhs, r.rhs, r.side) for r in rule_db()]
+    rules += [(r.rhs, r.lhs, r.side) for r in rule_db()]
+    pairs = 0
+    for node, k in positions:
+        for lhs, rhs, side in rules:
+            if not isinstance(lhs, Seq) or k + len(lhs.parts) > len(node.parts):
+                continue
+            prefix = list(zip(lhs.parts[:-1], node.parts[k:]))
+            entered.clear()
+            b = {}  # one pass: the prefix, then the last part on the next chain part
+            if all(counting(p, t, b) for p, t in prefix):
+                counting(lhs.parts[-1], node.parts[k + len(prefix)], b)
+            once = dict(entered)
+            entered.clear()
+            try:
+                _rewrite_node(node, k, lhs, rhs, side)
+            except NoMatch:
+                pass
+            for pair in prefix:
+                assert entered[pair] == once.get(pair, 0), (pretty(node), k, pretty(lhs))
+            pairs += len(prefix)
+    assert pairs > 10_000
+    entered.clear()
+    assert _rewrite_node(absorbing, 0, RULES["linv◎l"].lhs, Prim("id"), RULES["linv◎l"].side)
+    assert entered[MetaVar("c"), absorbing.parts[0]] == 1
 
 
 def test_index_is_exact_on_catalog_and_demos():
