@@ -17,8 +17,8 @@ with gate names x z s sdg t tdg h k v vdg cx cz ch ct swap ccx csx csxdg
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .gates import gate_macros, identity_at
 from .lang import (
@@ -48,8 +48,7 @@ def _too_wide(n: int) -> str:
     return f"{n} qubits exceed the limit of {MAX_QUBITS}"
 
 
-@dataclass(frozen=True)
-class CircuitGate:
+class CircuitGate(NamedTuple):
     gate: str
     wires: tuple[int, ...]
 
@@ -71,18 +70,30 @@ class CircuitGate:
                 )
 
 
-@dataclass(frozen=True)
-class Circuit:
+class _CircuitFields(NamedTuple):
     n_qubits: int
     gates: tuple[CircuitGate, ...]
 
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+
+class Circuit(_CircuitFields):
+    """A checked circuit: every construction path, ``_make`` and ``_replace``
+    included, validates the width and every gate."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Circuit:
+        c = super().__new__(cls, *args, **kwargs)
+        if c.n_qubits < 1:
             raise CircuitError("a circuit needs at least one qubit")
-        if self.n_qubits > MAX_QUBITS:
-            raise CircuitError(_too_wide(self.n_qubits))
-        for g in self.gates:
-            g.validate(self.n_qubits)
+        if c.n_qubits > MAX_QUBITS:
+            raise CircuitError(_too_wide(c.n_qubits))
+        for g in c.gates:
+            g.validate(c.n_qubits)
+        return c
+
+    @classmethod
+    def _make(cls, fields) -> Circuit:
+        return cls(*fields)  # _replace builds through _make
 
 
 # Equal terms are one object without any cache; these three are cached because

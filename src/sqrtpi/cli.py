@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: parse, typecheck, eval, equiv, simplify, compile, check-rules.
+Subcommands: parse, typecheck, eval, equiv, simplify, compile, check-rules,
+catalog.
 Exit codes: 0 success (or "equivalent"), 1 not equivalent / rules failed,
 2 parse or type errors, an unreadable or non-UTF-8 file, input too deeply
 nested, a matrix larger than ``semantics.MAX_DIMENSION``, or any internal

@@ -22,9 +22,8 @@ a gate shares one term, and typecheck and eval do its work once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lang import (
     BOOL,
@@ -48,8 +47,7 @@ class GateError(SqrtPiError):
     pass
 
 
-@dataclass(frozen=True)
-class GateMacro:
+class GateMacro(NamedTuple):
     """A named gate: its signature and its expansion as a term."""
 
     name: str

@@ -33,7 +33,6 @@ import operator
 import re
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 
@@ -134,13 +133,25 @@ class Prod(_Pair):
     _dim = staticmethod(operator.mul)
 
 
-@dataclass(frozen=True)
 class TVar:
-    """Unification metavariable; never appears in a checked type."""
+    """Unification metavariable; never appears in a checked type.  Equal ids
+    make equal TVars, and a TVar equals nothing else."""
 
-    id: int
+    __slots__ = ("id",)
     open = True  # class attributes, not fields
     dim = None
+
+    def __init__(self, id: int) -> None:
+        self.id = id
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is TVar and other.id == self.id
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
+
+    def __repr__(self) -> str:
+        return f"TVar(id={self.id!r})"
 
 
 ValueType = Union[Zero, One, Sum, Prod, TVar]
@@ -363,10 +374,20 @@ class TypeCheckError(SqrtPiError):
     pass
 
 
+# Longest term a type error quotes, in characters; a longer one is cut there
+# and ends in "...", so the diagnostic of a wide circuit stays one short line.
+MAX_QUOTE = 1000
+
+
+def _quote(node: Combinator) -> str:
+    s = pretty(node)
+    return s if len(s) <= MAX_QUOTE else s[:MAX_QUOTE] + "..."
+
+
 class UnificationFailure(TypeCheckError):
     def __init__(self, t1: ValueType, t2: ValueType, node: Optional[Combinator]):
         self.t1, self.t2, self.node = t1, t2, node
-        where = f" at `{pretty(node)}`" if node is not None else ""
+        where = f" at `{_quote(node)}`" if node is not None else ""
         super().__init__(
             f"cannot unify {type_str(t1)} with {type_str(t2)}{where}"
         )
@@ -376,7 +397,7 @@ class UnresolvedMetavariable(TypeCheckError):
     def __init__(self, node: Combinator):
         self.node = node
         super().__init__(
-            f"type of `{pretty(node)}` is not fully determined; "
+            f"type of `{_quote(node)}` is not fully determined; "
             "add an annotation or an expected type"
         )
 

@@ -23,10 +23,9 @@ sound.  Termination of ``simplify`` is by budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .lang import (
     _DUAL,
@@ -241,13 +240,22 @@ def subst(pat: Combinator, b: dict) -> Combinator:
 # --- rules -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SideCondition:
-    """Named checkable predicate over a rule's bindings."""
+class SideCondition(NamedTuple):
+    """Named checkable predicate over a rule's bindings.  Equality and the
+    hash read the name and the variables, not ``fn``."""
 
     name: str
     vars: tuple[str, ...]
-    fn: Callable[..., bool] = field(compare=False)
+    fn: Callable[..., bool]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SideCondition) and self[:2] == other[:2]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     def holds(self, b: dict) -> bool:
         try:
@@ -301,15 +309,7 @@ INVOLUTIVE = SideCondition("involutive", ("f",), _is_involutive)
 SIDE_CONDITIONS = {"inverse_pair": INVERSE_PAIR, "involutive": INVOLUTIVE}
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """A named oriented equation between combinator patterns.
-
-    ``phase`` is the declared global phase: eval(lhs) = w^phase * eval(rhs)
-    at every instantiation.  ``checks`` are the concrete (lhs, rhs) pairs the
-    rule is validated on before it ships.
-    """
-
+class _RuleFields(NamedTuple):
     name: str
     family: str
     lhs: Combinator
@@ -321,20 +321,38 @@ class RewriteRule:
     checks: tuple[tuple[Combinator, Combinator], ...] = ()
     qubits: Optional[int] = None
 
-    def __post_init__(self) -> None:
+
+class RewriteRule(_RuleFields):
+    """A named oriented equation between combinator patterns.
+
+    ``phase`` is the declared global phase: eval(lhs) = w^phase * eval(rhs)
+    at every instantiation.  ``checks`` are the concrete (lhs, rhs) pairs the
+    rule is validated on before it ships.  Every construction path, ``_make``
+    and ``_replace`` included, checks the rule.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RewriteRule:
+        r = super().__new__(cls, *args, **kwargs)
         # A side condition, and the rhs of an oriented rule, may read only
         # what the lhs binds.  Applied backward, a rule binds from its rhs,
         # so the rhs of a rule that is not oriented may bind more.  The lhs
         # of a gate rule is a large DAG, so it is walked only when some
         # variable is read.
-        reads = [(f"side condition {self.side.name}", set(self.side.vars))] if self.side else []
-        if self.oriented:
-            reads.append(("rhs", _metavars(self.rhs)))
-        bound = _metavars(self.lhs) if any(names for _, names in reads) else set()
+        reads = [(f"side condition {r.side.name}", set(r.side.vars))] if r.side else []
+        if r.oriented:
+            reads.append(("rhs", _metavars(r.rhs)))
+        bound = _metavars(r.lhs) if any(names for _, names in reads) else set()
         for what, names in reads:
             for name in sorted(names - bound):
                 raise CatalogError(
-                    f"rule {self.name!r}: {what} reads ?{name}, which its lhs does not bind")
+                    f"rule {r.name!r}: {what} reads ?{name}, which its lhs does not bind")
+        return r
+
+    @classmethod
+    def _make(cls, fields) -> RewriteRule:
+        return cls(*fields)  # _replace builds through _make
 
 
 # --- rule dispatch ------------------------------------------------------------
@@ -446,8 +464,7 @@ def apply_rule(
     return result
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     rule: str
     path: tuple[int, ...]
     direction: Literal["forward", "backward"]
@@ -464,8 +481,7 @@ class RewriteStep:
         }
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(NamedTuple):
     start: Combinator
     steps: tuple[RewriteStep, ...]
 
@@ -581,15 +597,13 @@ def check_equiv(
 # --- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceResult:
+class InstanceResult(NamedTuple):
     index: int
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(NamedTuple):
     rule: str
     family: str
     results: tuple[InstanceResult, ...]

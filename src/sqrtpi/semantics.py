@@ -20,8 +20,7 @@ zero divisors: a product of stored entries is never zero, and only sums
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Union
+from typing import Iterable, Literal, NamedTuple, Optional, Union
 
 from .exactnum import INV_SQRT2, ONE, ZERO, DyadicCyclotomic, omega_pow
 from .lang import (
@@ -226,8 +225,7 @@ def adjoint(a: ExactMatrix) -> ExactMatrix:
 # --- equality verdicts -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: Literal["equal", "equal_with_phase", "not_equal"]
     phase: Optional[int] = None
 

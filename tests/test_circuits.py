@@ -238,3 +238,14 @@ def test_circuit_width_limit():
     assert Circuit(MAX_QUBITS, ()).n_qubits == MAX_QUBITS
     with pytest.raises(CircuitError, match="exceed the limit"):
         Circuit(MAX_QUBITS + 1, ())
+
+
+def test_every_circuit_copy_is_checked():
+    c = Circuit(2, (CircuitGate("cx", (0, 1)),))
+    assert c._replace(gates=()) == Circuit(2, ())
+    with pytest.raises(CircuitError, match="exceed the limit"):
+        Circuit(2, ())._replace(n_qubits=500)
+    with pytest.raises(CircuitError, match="out of range"):
+        c._replace(n_qubits=1)
+    with pytest.raises(CircuitError, match="at least one qubit"):
+        Circuit._make((0, ()))

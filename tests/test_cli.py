@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -18,6 +21,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cold_start_imports_no_dataclasses():
+    # Every command runs in a fresh interpreter, and importing dataclasses
+    # (with the inspect, ast and dis it pulls in) took longer than all of
+    # sqrtpi's own module bodies.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import sqrtpi.cli\n"
+            "from sqrtpi.gates import gate_macros\n"
+            "from sqrtpi.rewrite import rule_db\n"
+            "gate_macros()\n"
+            "rule_db()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_eval_h_term(capsys):
@@ -556,6 +577,19 @@ def test_error_output_matches_pinned_digests(tmp_path):
               encoding="utf-8") as f:
         pinned = json.load(f)
     assert error_digests(str(tmp_path)) == pinned
+
+
+def test_type_error_quote_is_bounded(capsys, tmp_path):
+    from sqrtpi.lang import MAX_QUOTE
+
+    rng = random.Random(1)
+    wide = tmp_path / "wide.circ"
+    wide.write_text("qubits 40\n" + "".join(
+        "cx {} {}\n".format(*rng.sample(range(40), 2)) for _ in range(200)), encoding="utf-8")
+    code, out, err = run(capsys, "typecheck", str(wide), "--type", "2 <-> 2")
+    _assert_one_line_error(code, out, err)
+    assert err.startswith("error: cannot unify ") and err.endswith("...`\n")
+    assert len(err) < MAX_QUOTE + 300
 
 
 def test_qubit_limit(capsys, tmp_path):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -143,7 +142,7 @@ def test_run_memos_report_what_fresh_memos_report():
     # already holds, must fail with the same detail
     db = rule_db()
     a6 = RULES["A6"]
-    wrong = dataclasses.replace(a6, name="A6wrong", phase=a6.phase + 1)
+    wrong = a6._replace(name="A6wrong", phase=a6.phase + 1)
     for loaded in (db, load_catalog(catalog_text(db))):
         rules = list(loaded)
         rules.insert(max(len(rules) // 2, rules.index(a6) + 1), wrong)
@@ -154,6 +153,17 @@ def test_run_memos_report_what_fresh_memos_report():
         failed = [rep for rep in shared if not rep.passed]
         assert [rep.rule for rep in failed] == ["A6wrong"]
         assert all(res.detail.startswith("entry (") for res in failed[0].results)
+
+
+def test_every_rule_copy_is_checked():
+    # a copy made by _replace or _make is checked like a built rule
+    e1 = RULES["E1"]
+    assert e1.oriented and e1._replace(name="E1copy").name == "E1copy"
+    unbound = seq(e1.rhs, MetaVar("zz"))
+    for copy in (lambda: e1._replace(rhs=unbound),
+                 lambda: RewriteRule._make((*e1[:3], unbound, *e1[4:]))):
+        with pytest.raises(CatalogError, match=r"rhs reads \?zz, which its lhs does not bind"):
+            copy()
 
 
 def test_apply_bifunct():

@@ -104,6 +104,13 @@ def of_lang(t):
     return ("+" if isinstance(t, lang.Sum) else "*", of_lang(t.left), of_lang(t.right))
 
 
+def quote(node):
+    """The term a type error names, as the README states it is printed: cut
+    after 1000 characters and ended with "..."."""
+    s = pretty(node)
+    return s if len(s) <= 1000 else s[:1000] + "..."
+
+
 class Oracle:
     def __init__(self):
         self.subst, self.counter = {}, 0
@@ -127,7 +134,7 @@ class Oracle:
 
     def fail(self, a, b, node):
         a, b = type_str(to_lang(self.resolve(a))), type_str(to_lang(self.resolve(b)))
-        where = f" at `{pretty(node)}`" if node is not None else ""
+        where = f" at `{quote(node)}`" if node is not None else ""
         raise OracleError("UnificationFailure", node, f"cannot unify {a} with {b}{where}")
 
     def unify(self, a, b, node):
@@ -196,7 +203,7 @@ def oracle_typecheck(term, expected=None):
         if "var" in repr((src, tgt)):
             raise OracleError(
                 "UnresolvedMetavariable", node,
-                f"type of `{pretty(node)}` is not fully determined; "
+                f"type of `{quote(node)}` is not fully determined; "
                 "add an annotation or an expected type")
         out.append((node, src, tgt))
         for k in kids:
