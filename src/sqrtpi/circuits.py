@@ -96,8 +96,8 @@ class Circuit(_CircuitFields):
         return cls(*fields)  # _replace builds through _make
 
 
-# Equal terms are one object without any cache; these three are cached because
-# each rebuilds O(n) nodes (two of them recursively) at every placement.
+# Equal terms are one object without any cache; these four are cached because
+# each rebuilds O(n) nodes (three of them recursively) at every placement.
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +137,12 @@ def _group_prefix(k: int, n: int) -> Combinator:
     )
 
 
+@lru_cache(maxsize=None)
+def _ungroup_prefix(k: int, n: int) -> Combinator:
+    """The inverse of _group_prefix(k, n)."""
+    return invert(_group_prefix(k, n))
+
+
 def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> Combinator:
     """Apply a k-qubit gate term to the named wires of an n-wire circuit.
 
@@ -158,7 +164,7 @@ def place(gate_term: Combinator, wires: list[int] | tuple[int, ...], n: int) -> 
 
     if k < n:  # the gate on the first k wires, the identity on the rest
         gate_term = seq(_group_prefix(k, n), ProdC(gate_term, identity_at(wire_type(n - k))),
-                        invert(_group_prefix(k, n)))
+                        _ungroup_prefix(k, n))
     t = wire_type(n)
     network = _swap_network(wires, n)
     if not network:

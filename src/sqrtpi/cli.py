@@ -132,7 +132,7 @@ def _cmd_check_rules(args) -> int:
         rules = load_catalog(_read(catalog_path))
     else:
         rules = rule_db()
-    if args.family:
+    if args.family is not None:
         rules = [r for r in rules if r.family == args.family]
         if not rules:
             raise SqrtPiError(f"no rules in family {args.family!r}")

@@ -169,17 +169,16 @@ def type_str(t: ValueType, level: int = 0) -> str:
     """Render a type; reparses to the same tree. Levels: 0 sum, 1 prod, 2 atom."""
     if t is BOOL:
         return "2"
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, TVar):
-        return f"t{t.id}"
-    if isinstance(t, Sum):
+    kind = type(t)
+    if kind is Prod:
+        s = f"{type_str(t.left, 2)}*{type_str(t.right, 1)}"
+        return f"({s})" if level > 1 else s
+    if kind is Sum:
         s = f"{type_str(t.left, 1)}+{type_str(t.right, 0)}"
         return f"({s})" if level > 0 else s
-    s = f"{type_str(t.left, 2)}*{type_str(t.right, 1)}"
-    return f"({s})" if level > 1 else s
+    if kind is TVar:
+        return f"t{t.id}"
+    return "0" if t is ZERO_T else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +331,47 @@ def invert(c: Combinator) -> Combinator:
     raise TypeError(f"cannot invert {c!r}")
 
 
-def pretty(c: Combinator, level: int = 0) -> str:
-    """Render a combinator; reparses to an equal AST.
+def pretty(c: Combinator) -> str:
+    """Render a combinator; reparses to an equal AST."""
+    out: list[str] = []
+    _render(c, 0, out.append)
+    return "".join(out)
+
+
+def _render(c: Combinator, level: int, emit) -> None:
+    """Pass the text of c to emit, piece by piece, in order.
 
     Levels: 0 seq, 1 sum, 2 prod, 3 atom.
     """
-    if isinstance(c, Prim):
-        return c.name
-    if isinstance(c, MetaVar):
-        return f"?{c.name}"
-    if isinstance(c, Ann):
-        return f"({pretty(c.term)} : {type_str(c.src)} <-> {type_str(c.tgt)})"
-    if isinstance(c, Seq):
-        s = " ; ".join(pretty(p, 1) for p in c.parts)
-        return f"({s})" if level > 0 else s
-    if isinstance(c, SumC):
-        s = f"{pretty(c.left, 2)} + {pretty(c.right, 1)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(c, ProdC):
-        s = f"{pretty(c.left, 3)} * {pretty(c.right, 2)}"
-        return f"({s})" if level > 2 else s
-    raise TypeError(f"cannot print {c!r}")
+    kind = type(c)
+    if kind is Prim:
+        emit(c.name)
+    elif kind is Seq:
+        if level > 0:
+            emit("(")
+        _render(c.parts[0], 1, emit)
+        for p in c.parts[1:]:
+            emit(" ; ")
+            _render(p, 1, emit)
+        if level > 0:
+            emit(")")
+    elif kind is ProdC or kind is SumC:
+        own, op = (2, " * ") if kind is ProdC else (1, " + ")
+        if level > own:
+            emit("(")
+        _render(c.left, own + 1, emit)
+        emit(op)
+        _render(c.right, own, emit)
+        if level > own:
+            emit(")")
+    elif kind is Ann:
+        emit("(")
+        _render(c.term, 0, emit)
+        emit(f" : {type_str(c.src)} <-> {type_str(c.tgt)})")
+    elif kind is MetaVar:
+        emit(f"?{c.name}")
+    else:
+        raise TypeError(f"cannot print {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +398,28 @@ class TypeCheckError(SqrtPiError):
 MAX_QUOTE = 1000
 
 
+class _QuoteFull(Exception):
+    """Raised by _quote's printer once it has passed MAX_QUOTE characters."""
+
+
 def _quote(node: Combinator) -> str:
-    s = pretty(node)
-    return s if len(s) <= MAX_QUOTE else s[:MAX_QUOTE] + "..."
+    """pretty(node), cut after MAX_QUOTE characters; the rest of the term is
+    not rendered."""
+    pieces: list[str] = []
+    size = 0
+
+    def emit(piece: str) -> None:
+        nonlocal size
+        pieces.append(piece)
+        size += len(piece)
+        if size > MAX_QUOTE:
+            raise _QuoteFull
+
+    try:
+        _render(node, 0, emit)
+    except _QuoteFull:
+        return "".join(pieces)[:MAX_QUOTE] + "..."
+    return "".join(pieces)
 
 
 class UnificationFailure(TypeCheckError):
@@ -699,18 +737,19 @@ class Typed(NamedTuple):
     @property
     def children(self) -> tuple["Typed", ...]:
         node, src, tgt = self
-        return _kids(node, src, tgt, node._ground[src, tgt] if isinstance(node, Seq) else ())
+        return _kids(node, src, tgt, node._ground[src, tgt] if type(node) is Seq else ())
 
 
 def _kids(node: Combinator, src: ValueType, tgt: ValueType,
           inner: tuple[ValueType, ...]) -> tuple[Typed, ...]:
     """The children of node at src and tgt, given a chain's inner types."""
-    if isinstance(node, Seq):
+    kind = type(node)
+    if kind is Seq:
         types = (src, *inner, tgt)
         return tuple(map(Typed, node.parts, types, types[1:]))
-    if isinstance(node, Ann):
+    if kind is Ann:
         return (Typed(node.term, src, tgt),)
-    if isinstance(node, (SumC, ProdC)):
+    if kind is ProdC or kind is SumC:
         return (Typed(node.left, src.left, tgt.left), Typed(node.right, src.right, tgt.right))
     return ()
 
@@ -723,66 +762,73 @@ class _Unifier:
         self.subst: dict[int, ValueType] = {}
         self.counter = 0
 
-    def find(self, t: ValueType) -> ValueType:
-        """The representative of t.  The variables on the way are bound to
-        it, so a chain of variables (one per part of a long ``id ; id ; ...``)
-        is walked once."""
+    def find(self, v: TVar) -> ValueType:
+        """The representative of variable v.  The variables on the way are
+        bound to it, so a chain of variables (one per part of a long ``id ;
+        id ; ...``) is walked once."""
         subst = self.subst
-        if not isinstance(t, TVar) or t.id not in subst:
-            return t
+        if v.id not in subst:
+            return v
         path = []
-        while isinstance(t, TVar) and t.id in subst:
+        t = v
+        while type(t) is TVar and t.id in subst:
             path.append(t.id)
             t = subst[t.id]
-        for v in path:
-            subst[v] = t
+        for i in path:
+            subst[i] = t
         return t
 
     def resolve(self, t: ValueType) -> ValueType:
-        if t.open:
+        """t with every bound variable replaced, all the way down; t itself
+        if it has none."""
+        if not t.open:  # a closed type is its own resolution
+            return t
+        if type(t) is TVar:
             t = self.find(t)
-            if t.open and isinstance(t, _Pair):  # a closed type is its own resolution
-                return type(t)(self.resolve(t.left), self.resolve(t.right))
-        return t
+            if type(t) is TVar or not t.open:
+                return t
+        left, right = self.resolve(t.left), self.resolve(t.right)
+        if left is t.left and right is t.right:
+            return t
+        return type(t)(left, right)
 
     def _occurs(self, v: TVar, t: ValueType) -> bool:
-        if not t.open:
-            return False
-        t = self.find(t)
-        if isinstance(t, TVar):
-            return t.id == v.id
-        if isinstance(t, _Pair):
-            return self._occurs(v, t.left) or self._occurs(v, t.right)
-        return False
+        if type(t) is TVar:
+            t = self.find(t)
+            if type(t) is TVar:
+                return t.id == v.id
+        return t.open and (self._occurs(v, t.left) or self._occurs(v, t.right))
 
     def unify(self, a: ValueType, b: ValueType, node: Optional[Combinator]) -> None:
         if a is b:
             return
-        a, b = self.find(a), self.find(b)
+        if type(a) is TVar:
+            a = self.find(a)
+        if type(b) is TVar:
+            b = self.find(b)
         if a is b:  # Zero, One and equal closed types are each one object
             return
-        if isinstance(a, TVar):
-            if isinstance(b, TVar) and a.id == b.id:
+        if type(b) is TVar and type(a) is not TVar:
+            a, b = b, a  # bind the variable, and report it first
+        if type(a) is TVar:
+            if type(b) is TVar and a.id == b.id:
                 return
             if self._occurs(a, b):
                 raise UnificationFailure(self.resolve(a), self.resolve(b), node)
             self.subst[a.id] = b
-            return
-        if isinstance(b, TVar):
-            self.unify(b, a, node)
-            return
-        if type(a) is type(b) and isinstance(a, _Pair):
+        elif type(a) is type(b):  # two distinct pairs: Zero and One are singletons
             self.unify(a.left, b.left, node)
             self.unify(a.right, b.right, node)
-            return
-        raise UnificationFailure(self.resolve(a), self.resolve(b), node)
+        else:
+            raise UnificationFailure(self.resolve(a), self.resolve(b), node)
 
     def infer(self, node: Combinator) -> tuple[ValueType, ValueType]:
         """The principal src and tgt of node, with no variable bound in subst.
         A node inferred before, in any call, and a primitive, whose scheme is
         its SCHEMES row, instantiate their scheme."""
         scheme = node._scheme
-        if scheme is None and isinstance(node, Prim):
+        kind = type(node)
+        if scheme is None and kind is Prim:
             scheme = node._scheme = SCHEMES[node.name]
         if scheme is not None:
             start, count, src, tgt, _ = scheme
@@ -790,24 +836,24 @@ class _Unifier:
             self.counter += count
             return (_shift(src, delta), _shift(tgt, delta)) if delta else (src, tgt)
         start, bounds = self.counter, ()
-        if isinstance(node, Ann):
-            src, tgt = self.infer(node.term)
-            self.unify(src, node.src, node)
-            self.unify(tgt, node.tgt, node)
-            src, tgt = node.src, node.tgt
-        elif isinstance(node, Seq):
+        if kind is Seq:
             kids = [self.infer(p) for p in node.parts]
             for (_, f_tgt), (g_src, _) in zip(kids, kids[1:]):
                 self.unify(f_tgt, g_src, node)
             # a chain is the only node that unifies its children's types, so
             # only its types can hold variables bound in subst
             src, tgt = self.resolve(kids[0][0]), self.resolve(kids[-1][1])
-            bounds = tuple(self.resolve(t) for _, t in kids[:-1])
-        elif isinstance(node, (SumC, ProdC)):
+            bounds = tuple([self.resolve(t) for _, t in kids[:-1]])
+        elif kind is Ann:
+            src, tgt = self.infer(node.term)
+            self.unify(src, node.src, node)
+            self.unify(tgt, node.tgt, node)
+            src, tgt = node.src, node.tgt
+        elif kind is ProdC or kind is SumC:
             (ls, lt), (rs, rt) = self.infer(node.left), self.infer(node.right)
-            pair = Sum if isinstance(node, SumC) else Prod
+            pair = Prod if kind is ProdC else Sum
             src, tgt = pair(ls, rs), pair(lt, rt)
-        elif isinstance(node, MetaVar):
+        elif kind is MetaVar:
             raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
         else:
             raise TypeError(f"cannot typecheck {node!r}")
@@ -820,9 +866,10 @@ def _shift(t: ValueType, delta: int) -> ValueType:
     """t with every variable tN renamed to t(N + delta)."""
     if not t.open:
         return t
-    if isinstance(t, TVar):
+    if type(t) is TVar:
         return TVar(t.id + delta)
-    return type(t)(_shift(t.left, delta), _shift(t.right, delta))
+    # an open pair is never interned, so it is built without a lookup
+    return t._make(_shift(t.left, delta), _shift(t.right, delta), True, None)
 
 
 def _ground(node: Combinator, src: ValueType, tgt: ValueType) -> None:
@@ -835,10 +882,11 @@ def _ground(node: Combinator, src: ValueType, tgt: ValueType) -> None:
     recorded (src, tgt) returns at once, and an error is raised again."""
     if src.open or tgt.open:
         raise UnresolvedMetavariable(node)
-    if isinstance(node, Prim) or (src, tgt) in node._ground:
+    kind = type(node)
+    if kind is Prim or (src, tgt) in node._ground:
         return
     inner: tuple[ValueType, ...] = ()
-    if isinstance(node, Seq):
+    if kind is Seq:
         _, _, s_src, s_tgt, bounds = node._scheme
         u = _Unifier()
         u.unify(s_src, src, node)

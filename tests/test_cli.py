@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -167,10 +168,12 @@ def test_check_rules_family_a(capsys):
 
 
 def test_check_rules_unknown_family(capsys):
-    code, out, err = run(capsys, "check-rules", "--family", "Q")
-    assert code == 2
-    assert out == ""
-    assert err == "error: no rules in family 'Q'\n"
+    # the empty name is a family with no rules too, not the whole catalog
+    for family in ("Q", ""):
+        code, out, err = run(capsys, "check-rules", "--family", family)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no rules in family {family!r}\n"
 
 
 def test_check_rules_catalog_override(capsys, tmp_path, monkeypatch):
@@ -590,6 +593,33 @@ def test_type_error_quote_is_bounded(capsys, tmp_path):
     _assert_one_line_error(code, out, err)
     assert err.startswith("error: cannot unify ") and err.endswith("...`\n")
     assert len(err) < MAX_QUOTE + 300
+
+
+def test_type_error_renders_only_what_it_quotes():
+    # the quote stops rendering once past MAX_QUOTE: rendering the whole
+    # term of this circuit would allocate megabytes, the quote a few KB
+    from sqrtpi import lang
+    from sqrtpi.circuits import compile_circuit, parse_circuit
+
+    rng = random.Random(1)
+    term = compile_circuit(parse_circuit("qubits 40\n" + "".join(
+        "cx {} {}\n".format(*rng.sample(range(40), 2)) for _ in range(200))))
+    tracemalloc.start()
+    try:
+        quote = lang._quote(term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * lang.MAX_QUOTE
+    whole = lang.pretty(term)
+    assert len(whole) > 1000 * lang.MAX_QUOTE
+    assert quote == whole[:lang.MAX_QUOTE] + "..."
+    # chains of 250 parts, "id ; id ; id ; v ; v ; ...", around the cap
+    for ids in (3, 4):
+        chain = lang.seq(*[lang.Prim("id")] * ids, *[lang.Prim("v")] * (250 - ids))
+        text = lang.pretty(chain)
+        assert len(text) == 997 + ids
+        assert lang._quote(chain) == (text if ids == 3 else text[:1000] + "...")
 
 
 def test_qubit_limit(capsys, tmp_path):

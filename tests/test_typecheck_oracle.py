@@ -11,6 +11,8 @@ on ill-typed input, on the error class, the node object and the message.
 """
 
 import gc
+import hashlib
+import json
 import os
 import random
 import re
@@ -576,3 +578,77 @@ def test_concurrent_typechecks_walk_their_children(monkeypatch):
         assert preorder(typed) == walk
         assert agree(term, ty)
     assert len(chain._ground) >= count
+
+
+SCHEME_DIGESTS = os.path.join(os.path.dirname(__file__), "scheme_digests.json")
+TVAR_RE = re.compile(r"t(\d+)")
+
+
+def scheme_corpus():
+    """(label, term, expected) triples: seeded compiled circuits of 1-7 qubits
+    and one of 40, then random well-typed terms at their generated types."""
+    names = sorted(CIRCUIT_GATES)
+    for n in range(1, 8):
+        for seed in range(3):
+            rng = random.Random(1000 * n + seed)
+            pool = [g for g in names if CIRCUIT_GATES[g] <= n]
+            gates = []
+            for _ in range(rng.randint(1, 12)):
+                g = rng.choice(pool)
+                gates.append(CircuitGate(g, tuple(rng.sample(range(n), CIRCUIT_GATES[g]))))
+            yield f"circuit {n}q seed {seed}", compile_circuit(Circuit(n, tuple(gates))), None
+    rng = random.Random(40)
+    gates = tuple(CircuitGate(g, tuple(rng.sample(range(40), CIRCUIT_GATES[g])))
+                  for g in rng.choices(names, k=40))
+    yield "circuit 40q", compile_circuit(Circuit(40, gates)), None
+    for i, (term, src, tgt) in enumerate(random_terms(seed=29, count=100)):
+        yield f"term {i}", term, (src, tgt)
+
+
+def scheme_lines(term):
+    """One line per distinct node of term, in preorder of first visit: its
+    class, its scheme (start, count, src, tgt, bounds), with each tN renumbered
+    as t(N - start), and its ground records, sorted."""
+    lines = []
+    for node in dag_nodes(term):
+        start, count, src, tgt, bounds = node._scheme
+
+        def show(t):
+            return TVAR_RE.sub(lambda m: f"t{int(m[1]) - start}", type_str(t))
+
+        records = sorted(
+            f"{type_str(s)} <-> {type_str(t)} : {', '.join(map(type_str, inner))}"
+            for (s, t), inner in node._ground.items())
+        lines.append(f"{type(node).__name__} {start} {count} {show(src)} <-> {show(tgt)}"
+                     f" | {', '.join(map(show, bounds))} | {'; '.join(records)}")
+    return lines
+
+
+def scheme_digests():
+    """sha256 prefix of scheme_lines of each term of scheme_corpus(), each
+    typechecked cold, as in a fresh process: its nodes' schemes and records
+    are cleared first, and the records are merged back afterwards."""
+    out = {}
+    for label, term, expected in scheme_corpus():
+        nodes = dag_nodes(term)
+        saved = [(node, node._ground) for node in nodes]
+        for node in nodes:
+            node._scheme, node._ground = None, {}
+        try:
+            typecheck(term, expected)
+            blob = "\n".join(scheme_lines(term)).encode()
+        finally:
+            for node, records in saved:
+                records.update(node._ground)
+                node._ground = records
+        out[label] = hashlib.sha256(blob).hexdigest()[:16]
+    return out
+
+
+def test_schemes_match_pinned_digests():
+    # scheme_digests.json pins the principal scheme, the counter and the
+    # ground records that typecheck keeps on every node, so a faster
+    # unifier must infer and ground exactly what the recorded one did
+    with open(SCHEME_DIGESTS, encoding="utf-8") as f:
+        pinned = json.load(f)
+    assert scheme_digests() == pinned
