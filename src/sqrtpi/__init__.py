@@ -73,6 +73,7 @@ from .circuits import (
     wire_type,
 )
 from .rewrite import (
+    BadStep,
     NoMatch,
     PathInvalid,
     RewriteRule,

@@ -194,7 +194,10 @@ class _Node:
     ``_size`` caches rewrite.term_size (0 until computed), ``_scheme`` the
     principal type that typecheck inferred (None until an inference
     succeeds; for a primitive, its SCHEMES row) and ``_ground`` its ground
-    types (see _ground); the last two hold types only, never a node."""
+    types (see _ground); the last two hold types only, never a node.
+    ``kids`` is the tuple of a node's children in field order, and
+    ``rebuild(kids)`` the node of its class with those children and its
+    other fields, so ``n.rebuild(n.kids) is n``."""
 
     __slots__ = ("_bare", "_size", "_scheme", "_ground", "__weakref__")
 
@@ -217,36 +220,70 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
-class Prim(_Node):
+class _Leaf(_Node):
+    """A Prim or a MetaVar: no children, and its only field is its name."""
+
     __slots__ = _fields = ("name",)
+    kids: tuple = ()
+
+    def rebuild(self, kids):
+        return type(self)(self.name, *kids)  # kids is empty
+
+
+class Prim(_Leaf):
+    __slots__ = ()
 
 
 class Seq(_Node):
     """Chain ``parts[0] ; parts[1] ; ...``.  ``;`` is associative, so a chain
     is flat: two or more parts, none a Seq (a chain inside an Ann part stays
-    there).  Build chains with :func:`seq`, which keeps this invariant."""
+    there).  Build chains with :func:`seq`, which keeps this invariant; so
+    does rebuild, which splices a chain among the new parts."""
 
     __slots__ = _fields = ("parts",)
+    kids = property(operator.attrgetter("parts"))
+
+    @staticmethod
+    def rebuild(kids):
+        return seq(*kids)
 
 
-class SumC(_Node):
+class _Binary(_Node):
+    """A sum or product of two combinators; ``_pair`` is the type
+    constructor of its src and tgt, and ``_level`` and ``_op`` are how it
+    prints (see _render)."""
+
     __slots__ = _fields = ("left", "right")
+    kids = property(operator.attrgetter("left", "right"))
+
+    def rebuild(self, kids):
+        return type(self)(*kids)
 
 
-class ProdC(_Node):
-    __slots__ = _fields = ("left", "right")
+class SumC(_Binary):
+    __slots__ = ()
+    _pair, _level, _op = Sum, 1, " + "
+
+
+class ProdC(_Binary):
+    __slots__ = ()
+    _pair, _level, _op = Prod, 2, " * "
 
 
 class Ann(_Node):
     """Type-annotated subterm ``(c : src <-> tgt)``."""
 
     __slots__ = _fields = ("term", "src", "tgt")
+    kids = property(lambda self: (self.term,))
+
+    def rebuild(self, kids):
+        return Ann(*kids, self.src, self.tgt)
 
 
-class MetaVar(_Node):
+class MetaVar(_Leaf):
     """Pattern hole; only valid inside rewrite-rule patterns."""
 
-    __slots__ = _fields = ("name",)
+    __slots__ = ()
 
 
 Combinator = Union[Prim, Seq, SumC, ProdC, Ann, MetaVar]
@@ -315,20 +352,15 @@ _DUAL = {
 
 
 def invert(c: Combinator) -> Combinator:
-    """Syntactic dagger: primitives map to their duals, Seq reverses."""
-    if isinstance(c, Prim):
+    """Syntactic dagger: primitives map to their duals, Seq reverses, an
+    annotation swaps its types, and every other node inverts its children."""
+    kind = type(c)
+    if kind is Prim:
         return Prim(_DUAL[c.name])
-    if isinstance(c, Seq):
-        return seq(*[invert(p) for p in reversed(c.parts)])
-    if isinstance(c, SumC):
-        return SumC(invert(c.left), invert(c.right))
-    if isinstance(c, ProdC):
-        return ProdC(invert(c.left), invert(c.right))
-    if isinstance(c, Ann):
+    if kind is Ann:
         return Ann(invert(c.term), c.tgt, c.src)
-    if isinstance(c, MetaVar):
-        return c
-    raise TypeError(f"cannot invert {c!r}")
+    kids = [invert(k) for k in c.kids]
+    return c.rebuild(kids[::-1] if kind is Seq else kids)
 
 
 def pretty(c: Combinator) -> str:
@@ -355,12 +387,12 @@ def _render(c: Combinator, level: int, emit) -> None:
             _render(p, 1, emit)
         if level > 0:
             emit(")")
-    elif kind is ProdC or kind is SumC:
-        own, op = (2, " * ") if kind is ProdC else (1, " + ")
+    elif isinstance(c, _Binary):
+        own = c._level
         if level > own:
             emit("(")
         _render(c.left, own + 1, emit)
-        emit(op)
+        emit(c._op)
         _render(c.right, own, emit)
         if level > own:
             emit(")")
@@ -368,10 +400,8 @@ def _render(c: Combinator, level: int, emit) -> None:
         emit("(")
         _render(c.term, 0, emit)
         emit(f" : {type_str(c.src)} <-> {type_str(c.tgt)})")
-    elif kind is MetaVar:
+    else:  # a metavariable
         emit(f"?{c.name}")
-    else:
-        raise TypeError(f"cannot print {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +779,7 @@ def _kids(node: Combinator, src: ValueType, tgt: ValueType,
         return tuple(map(Typed, node.parts, types, types[1:]))
     if kind is Ann:
         return (Typed(node.term, src, tgt),)
-    if kind is ProdC or kind is SumC:
+    if isinstance(node, _Binary):
         return (Typed(node.left, src.left, tgt.left), Typed(node.right, src.right, tgt.right))
     return ()
 
@@ -849,14 +879,11 @@ class _Unifier:
             self.unify(src, node.src, node)
             self.unify(tgt, node.tgt, node)
             src, tgt = node.src, node.tgt
-        elif kind is ProdC or kind is SumC:
+        elif isinstance(node, _Binary):
             (ls, lt), (rs, rt) = self.infer(node.left), self.infer(node.right)
-            pair = Prod if kind is ProdC else Sum
-            src, tgt = pair(ls, rs), pair(lt, rt)
-        elif kind is MetaVar:
+            src, tgt = node._pair(ls, rs), node._pair(lt, rt)
+        else:  # a metavariable
             raise TypeCheckError(f"cannot typecheck pattern variable ?{node.name}")
-        else:
-            raise TypeError(f"cannot typecheck {node!r}")
         # one assignment, so another thread sees the whole scheme or none
         node._scheme = (start, self.counter - start, src, tgt, bounds)
         return src, tgt
@@ -936,12 +963,6 @@ def strip_ann(c: Combinator) -> Combinator:
     """Erase type annotations (for structural comparisons); cached on the node."""
     bare = c._bare
     if bare is None:
-        bare = c
-        if isinstance(c, Ann):
-            bare = strip_ann(c.term)
-        elif isinstance(c, Seq):
-            bare = seq(*[strip_ann(p) for p in c.parts])
-        elif isinstance(c, (SumC, ProdC)):
-            bare = type(c)(strip_ann(c.left), strip_ann(c.right))
+        bare = strip_ann(c.term) if type(c) is Ann else c.rebuild(map(strip_ann, c.kids))
         c._bare = _SELF if bare is c else bare
     return c if bare is _SELF else bare

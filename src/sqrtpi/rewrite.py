@@ -29,14 +29,13 @@ from typing import Callable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .lang import (
     _DUAL,
+    _Binary,
     Ann,
     Combinator,
     MetaVar,
     Prim,
-    ProdC,
     Seq,
     SqrtPiError,
-    SumC,
     TypeCheckError,
     ValueType,
     parse,
@@ -67,15 +66,11 @@ class CatalogError(SqrtPiError):
     pass
 
 
+class BadStep(SqrtPiError):
+    """A rewrite step names no catalog rule, or no direction."""
+
+
 # --- term plumbing ----------------------------------------------------------
-
-
-def _children(t: Combinator) -> tuple[Combinator, ...]:
-    if isinstance(t, (SumC, ProdC)):
-        return (t.left, t.right)
-    if isinstance(t, Ann):
-        return (t.term,)
-    return ()
 
 
 def _window(node: Combinator, k: int) -> Combinator:
@@ -91,17 +86,17 @@ def _walk(t: Combinator, path: Sequence[int]):
     trail: list[tuple[Combinator, int]] = []
     node, k = t, 0
     for i in path:
-        kids = _children(node)
-        if isinstance(node, Seq) and i in (0, 1):
-            kids, last = node.parts, len(node.parts) - 1
-            if i and k + 1 < last:
+        kids, j = node.kids, i
+        if type(node) is Seq:  # only 0 and 1 are steps in a chain
+            last = len(kids) - 1
+            if i == 1 and k + 1 < last:
                 k += 1  # the next suffix window of the same chain
                 continue
-            i = last if i else k
-        if not 0 <= i < len(kids):
+            j = k if i == 0 else last if i == 1 else -1
+        if not 0 <= j < len(kids):
             raise PathInvalid(f"no child {i} at `{pretty(_window(node, k))}`")
-        trail.append((node, i))
-        node, k = kids[i], 0
+        trail.append((node, j))
+        node, k = kids[j], 0
     return trail, node, k
 
 
@@ -109,14 +104,8 @@ def replace_at(t: Combinator, path: Sequence[int], new: Combinator) -> Combinato
     trail, node, k = _walk(t, path)
     out = seq(*node.parts[:k], new) if k else new
     for parent, i in reversed(trail):
-        if isinstance(parent, Seq):
-            out = seq(*parent.parts[:i], out, *parent.parts[i + 1:])
-        elif isinstance(parent, SumC):
-            out = SumC(out, parent.right) if i == 0 else SumC(parent.left, out)
-        elif isinstance(parent, ProdC):
-            out = ProdC(out, parent.right) if i == 0 else ProdC(parent.left, out)
-        else:
-            out = Ann(out, parent.src, parent.tgt)
+        kids = parent.kids
+        out = parent.rebuild((*kids[:i], out, *kids[i + 1:]))
     return out
 
 
@@ -134,7 +123,7 @@ def iter_paths(t: Combinator) -> Iterator[tuple[tuple[int, ...], Combinator, int
             yield from walk(node.parts[last], path)
             return
         yield path, node, 0
-        for i, kid in enumerate(_children(node)):
+        for i, kid in enumerate(node.kids):
             yield from walk(kid, path + (i,))
 
     return walk(t, ())
@@ -145,13 +134,9 @@ def term_size(t: Combinator) -> int:
     so they never block a reduction.  Cached on the node."""
     size = t._size
     if not size:
-        if isinstance(t, Ann):
-            size = term_size(t.term)
-        elif isinstance(t, Seq):
-            size = len(t.parts) - 1 + sum(term_size(p) for p in t.parts)
-        else:
-            size = 1 + sum(term_size(k) for k in _children(t))
-        t._size = size
+        kind, kids = type(t), t.kids
+        own = 0 if kind is Ann else len(kids) - 1 if kind is Seq else 1
+        size = t._size = own + sum(map(term_size, kids))
     return size
 
 
@@ -191,19 +176,8 @@ def _match(pat: Combinator, term: Combinator, b: dict) -> bool:
             return False
         return (all(_match(ps[i], ts[i], b) for i in range(m - 1))
                 and _match(ps[-1], _window(term, m - 1), b))
-    if isinstance(pat, SumC):
-        return (
-            isinstance(term, SumC)
-            and _match(pat.left, term.left, b)
-            and _match(pat.right, term.right, b)
-        )
-    if isinstance(pat, ProdC):
-        return (
-            isinstance(term, ProdC)
-            and _match(pat.left, term.left, b)
-            and _match(pat.right, term.right, b)
-        )
-    raise TypeError(f"bad pattern node {pat!r}")
+    return (type(term) is type(pat)  # a sum or a product
+            and _match(pat.left, term.left, b) and _match(pat.right, term.right, b))
 
 
 def _metavars(pat: Combinator) -> set[str]:
@@ -216,7 +190,7 @@ def _metavars(pat: Combinator) -> set[str]:
             seen.add(id(node))
             if isinstance(node, MetaVar):
                 names.add(node.name)
-            stack.extend(node.parts if isinstance(node, Seq) else _children(node))
+            stack.extend(node.kids)
     return names
 
 
@@ -226,15 +200,8 @@ def subst(pat: Combinator, b: dict) -> Combinator:
             return b[pat.name]
         except KeyError:
             raise NoMatch(f"unbound pattern variable ?{pat.name}") from None
-    if isinstance(pat, Seq):
-        return seq(*[subst(p, b) for p in pat.parts])
-    if isinstance(pat, SumC):
-        return SumC(subst(pat.left, b), subst(pat.right, b))
-    if isinstance(pat, ProdC):
-        return ProdC(subst(pat.left, b), subst(pat.right, b))
-    if isinstance(pat, Ann):
-        return Ann(subst(pat.term, b), pat.src, pat.tgt)
-    return pat
+    kids = pat.kids
+    return pat.rebuild([subst(k, b) for k in kids]) if kids else pat
 
 
 # --- rules -------------------------------------------------------------------
@@ -288,7 +255,7 @@ def _is_syntactic_inverse(a: Combinator, c: Combinator) -> bool:
         if isinstance(x, Prim):
             if not (isinstance(y, Prim) and y.name == _DUAL[x.name]):
                 return False
-        elif isinstance(x, (SumC, ProdC)):
+        elif isinstance(x, _Binary):
             if not (type(y) is type(x)
                     and _is_syntactic_inverse(x.left, y.left)
                     and _is_syntactic_inverse(x.right, y.right)):
@@ -450,6 +417,8 @@ def apply_rule(
 
     The result is checked to typecheck at the input's type.
     """
+    if direction not in ("forward", "backward"):
+        raise BadStep(f"unknown direction {direction!r}; use 'forward' or 'backward'")
     lhs, rhs = (rule.lhs, rule.rhs) if direction == "forward" else (rule.rhs, rule.lhs)
     typed = typecheck(term, expected)
     _, node, k = _walk(term, path)
@@ -511,7 +480,9 @@ def replay(
     t = term
     steps: list[RewriteStep] = []
     for name, path, direction in script:
-        rule = rules[name]
+        rule = rules.get(name)
+        if rule is None:
+            raise BadStep(f"unknown rule {name!r}")
         t = apply_rule(t, rule, tuple(path), direction, expected)
         signed = rule.phase if direction == "forward" else -rule.phase
         steps.append(RewriteStep(name, tuple(path), direction, signed % 8, t))

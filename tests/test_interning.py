@@ -136,6 +136,41 @@ def test_cached_strip_and_size_match_the_recursive_definitions():
             assert term_size(sub) == ref_size(sub)
 
 
+def field_kids(n):
+    """The children of n read from its fields, in field order: each field
+    that holds a node, and each part of a chain's parts."""
+    kids = []
+    for name in n._fields:
+        value = getattr(n, name)
+        if isinstance(value, tuple):
+            kids += value
+        elif isinstance(value, lang._Node):
+            kids.append(value)
+    return tuple(kids)
+
+
+def test_kids_and_rebuild_keep_every_node():
+    circuit = Circuit(5, (CircuitGate("h", (0,)), CircuitGate("cx", (4, 1)),
+                          CircuitGate("ccx", (3, 0, 2)), CircuitGate("t", (4,))))
+    roots = [term for term, _, _ in random_terms(seed=11, count=150)]
+    roots += [p for r in rule_db() for p in (r.lhs, r.rhs)]
+    roots.append(compile_circuit(circuit))
+    seen, stack, kinds = set(), roots, set()
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        kinds.add(type(n))
+        kids = field_kids(n)
+        assert type(n.kids) is tuple and n.kids == kids, n
+        if isinstance(n, (Prim, MetaVar)):
+            assert n.kids == ()
+        assert n.rebuild(n.kids) is n, n
+        stack.extend(kids)
+    assert kinds == {Prim, Seq, SumC, ProdC, Ann, MetaVar}
+
+
 def test_repr_keeps_the_dataclass_form():
     assert repr(Prim("v")) == "Prim(name='v')"
     assert repr(MetaVar("c")) == "MetaVar(name='c')"

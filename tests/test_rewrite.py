@@ -36,6 +36,7 @@ from sqrtpi.lang import (
     strip_ann,
 )
 from sqrtpi.rewrite import (
+    BadStep,
     CatalogError,
     NoMatch,
     PathInvalid,
@@ -196,6 +197,16 @@ def test_apply_path_invalid():
         apply_rule(seq(Prim("v"), Prim("v")), RULES["E2"], (5,))
 
 
+def test_chain_paths_step_by_0_and_1_only():
+    # in a chain, 0 enters part k and 1 moves to the next window; no other
+    # index is a step, even where the chain has a part with that index
+    for path in [(2,), (1, 2)]:
+        with pytest.raises(PathInvalid, match="no child 2"):
+            replace_at(parse("v ; vi ; w"), path, Prim("id"))
+        with pytest.raises(PathInvalid, match="no child 2"):
+            apply_rule(parse("v ; vi ; v"), RULES["E2"], path)
+
+
 def test_apply_preserves_typing():
     term = seq(Prim("v"), Prim("v"), s_gate())
     before = typecheck(term, (BOOL, BOOL))
@@ -251,6 +262,20 @@ def test_replay_derivations():
     start, script, expect = derivation_wi_to_w7()
     tr = replay(start, script, expected=(ONE_T, ONE_T))
     assert strip_ann(tr.final) == strip_ann(expect)
+
+
+def test_replay_rejects_an_unknown_rule_or_direction():
+    a6 = RULES["A6"]
+    term = a6.checks[0][1]
+    with pytest.raises(BadStep, match="unknown direction 'foward'"):
+        replay(term, [("A6", (), "foward")])
+    with pytest.raises(BadStep, match="unknown direction 'Backward'"):
+        apply_rule(term, a6, (), "Backward")
+    with pytest.raises(BadStep, match="unknown rule 'A66'"):
+        replay(term, [("A66", (), "backward")])
+    step, = replay(term, [("A6", (), "backward")]).steps
+    assert (step.direction, step.phase) == ("backward", -a6.phase % 8)
+    assert strip_ann(step.term_after) is strip_ann(a6.lhs)
 
 
 def test_replay_steps_are_catalog_rules():
